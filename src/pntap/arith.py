@@ -7,12 +7,16 @@ here is the oracle side: no estimates, only counts.
 
 Character values are carried as exact roots of unity (an exponent modulo
 the group exponent); complex numbers only appear when a sum is finally
-evaluated, so long twisted sums do not accumulate phase drift.
+evaluated, so long twisted sums do not accumulate phase drift.  All
+characters mod q share one (q, g) matrix of generator logs L, one column
+per generator of (Z/q)*; a character is a weight vector w over those
+generators, so its exponent table is one product (L @ w) mod e.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -282,14 +286,6 @@ def psi1_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
 # Dirichlet characters
 # ---------------------------------------------------------------------------
 
-def _order(a: int, m: int, group_order: int) -> int:
-    o = group_order
-    for p, _ in prime_factors(group_order):
-        while o % p == 0 and pow(a, o // p, m) == 1:
-            o //= p
-    return o
-
-
 def _primitive_root(pk: int, p: int) -> int:
     """Least primitive root mod p that stays primitive mod p^2 (hence p^k)."""
     phi_p = p - 1
@@ -347,7 +343,9 @@ class DirichletCharacter:
     """A Dirichlet character mod q, stored as generator exponents.
 
     value(n) is an exact root of unity exp(2 pi i j/e) with j =
-    exponent_of(n); parity is (1 - chi(-1))/2.
+    exponent_of(n); parity is (1 - chi(-1))/2.  The generator-log matrix
+    and unit mask are shared by every character of the group; the weights
+    are the exponents scaled to the group exponent, so j = L[n] @ w mod e.
     """
 
     q: int
@@ -358,22 +356,15 @@ class DirichletCharacter:
     is_principal: bool
     is_primitive: bool
     conductor: int
-    _components: tuple[_Component, ...]
-    _orders: tuple[int, ...]
+    _logs: np.ndarray = field(repr=False)     # (q, g) generator logs, shared
+    _units: np.ndarray = field(repr=False)    # (q,) gcd(n, q) == 1, shared
+    _weights: np.ndarray = field(repr=False)  # (g,) exponents * (e // order)
 
     def exponent_of(self, n: int) -> int | None:
         """Exponent j with chi(n) = exp(2 pi i j / group_exponent), or None."""
         if math.gcd(n, self.q) != 1:
             return None
-        e = self.group_exponent
-        j = 0
-        pos = 0
-        for comp in self._components:
-            logs = comp.log_table[n % comp.modulus]
-            for t, s in zip(logs, comp.orders):
-                j += int(t) * self.exponents[pos] * (e // s)
-                pos += 1
-        return j % e
+        return int(self._logs[n % self.q] @ self._weights) % self.group_exponent
 
     def value(self, n: int) -> complex:
         j = self.exponent_of(n)
@@ -388,12 +379,7 @@ class DirichletCharacter:
     def exponent_table(self) -> np.ndarray:
         """exponent_of for all residues; group_exponent marks non-units."""
         e = self.group_exponent
-        out = np.full(self.q, e, dtype=np.int64)
-        for n in range(self.q):
-            j = self.exponent_of(n)
-            if j is not None:
-                out[n] = j
-        return out
+        return np.where(self._units, (self._logs @ self._weights) % e, e)
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
@@ -403,8 +389,7 @@ class DirichletCharacter:
         return roots[self.exponent_table()]
 
 
-
-def _conductor(components, orders_flat, exponents) -> int:
+def _conductor(components, exponents) -> int:
     cond = 1
     pos = 0
     for comp in components:
@@ -456,7 +441,7 @@ def _conrey_index(q, components, exponents) -> int:
         moduli.append(rem)
     x, mod = 0, 1
     for r, m in zip(residues, moduli):
-        g, inv = m, pow(mod, -1, m)
+        inv = pow(mod, -1, m)
         x = x + mod * ((r - x) * inv % m)
         mod *= m
     return x % q
@@ -481,38 +466,30 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     for s in orders_flat:
         group_exp = group_exp * s // math.gcd(group_exp, s)
     comps = tuple(components)
-
-    def all_tuples(pos=0):
-        if pos == len(orders_flat):
-            yield ()
-            return
-        for rest in all_tuples(pos + 1):
-            for c in range(orders_flat[pos]):
-                yield (c,) + rest
+    # shared by every character, so read-only; with q <= 1e9 each of the g
+    # terms of L @ w is below e**2 and the int64 product stays exact
+    n = np.arange(q)
+    logs = np.concatenate([comp.log_table[n % comp.modulus] for comp in comps], axis=1)
+    units = np.gcd(n, q) == 1
+    logs.flags.writeable = units.flags.writeable = False
+    scale = np.array([group_exp // s for s in orders_flat], dtype=np.int64)
 
     chars = []
-    for exps in sorted(all_tuples()):
-        cond = _conductor(comps, orders_flat, exps)
-        # parity from chi(-1)
-        parity_exp = 0
-        pos = 0
-        for comp in comps:
-            logs = comp.log_table[(q - 1) % comp.modulus]
-            for t, s in zip(logs, comp.orders):
-                parity_exp += int(t) * exps[pos] * (group_exp // s)
-                pos += 1
-        parity = 0 if parity_exp % group_exp == 0 else 1
+    for exps in itertools.product(*map(range, orders_flat)):
+        cond = _conductor(comps, exps)
+        weights = np.array(exps, dtype=np.int64) * scale
         chars.append(DirichletCharacter(
             q=q,
             index=_conrey_index(q, comps, exps),
             exponents=exps,
             group_exponent=group_exp,
-            parity=parity,
+            parity=0 if int(logs[q - 1] @ weights) % group_exp == 0 else 1,
             is_principal=all(c == 0 for c in exps),
             is_primitive=(cond == q),
             conductor=cond,
-            _components=comps,
-            _orders=orders_flat,
+            _logs=logs,
+            _units=units,
+            _weights=weights,
         ))
     chars.sort(key=lambda ch: (not ch.is_principal, ch.index))
     if len(chars) != euler_phi(q):

@@ -638,6 +638,8 @@ def evaluate_bounds(kind: str, x: float, q: int, consts=None) -> float:
     The general chain additionally requires x0 >= q; the small-moduli
     chain requires q <= 10^4.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if kind == "principal":
         if x < 73.2:
             raise DomainError("principal-character bound requires x >= 73.2")

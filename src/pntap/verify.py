@@ -118,7 +118,7 @@ def verify_bpt(zeros: ZeroTable, phi_set: Optional[Sequence[WeightSpec]] = None,
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_bpt needs a zeta table")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport("bpt_zero_sum")
     if ranges is None:
         top = min(1000.0, zeros.max_height)
@@ -133,7 +133,7 @@ def verify_bpt(zeros: ZeroTable, phi_set: Optional[Sequence[WeightSpec]] = None,
             est = bpt_sum(phi, U, V)
             report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,
                        what=f"{phi.name} on [{U:.2f},{V:.2f}]")
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -142,7 +142,7 @@ def verify_zero_count(zeros: ZeroTable, n_grid: int = 200,
     """Check |N(T) - smooth term - 7/8| <= counting remainder on a T-grid."""
     if zeros.kind != "zeta":
         raise DomainError("verify_zero_count needs a zeta table")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport("zero_count_remainder")
     top = min(t_max or zeros.max_height, zeros.max_height)
     grid = np.linspace(TWO_PI + 0.1, top, n_grid)
@@ -151,7 +151,7 @@ def verify_zero_count(zeros: ZeroTable, n_grid: int = 200,
         n_data = int(np.searchsorted(ords, T, side="right"))
         lhs = abs(n_data - zeta_count_main(T) - 7.0 / 8.0)
         report.add(float(T), 0, 0, lhs, count_remainder_R(float(T)), what="N(T)")
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -169,7 +169,7 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
     t_trunc = min(t_trunc or 1e4, zeros.max_height)
     if zeros.max_height < t_trunc:
         raise CoverageError("zero table does not reach the truncation height")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport("psi1_explicit_formula")
     gs = zeros.ordinates[zeros.ordinates <= t_trunc]
     rho = 0.5 + 1j * gs
@@ -182,7 +182,7 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
         half = 0.5 * (RESIDUAL_HIGH - RESIDUAL_LOW) + tau
         report.add(x, 0, 0, abs(residual - center), half,
                    what=f"residual={residual:.4f}, tau={tau:.3g}")
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -190,7 +190,7 @@ def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
                           segment: int = 1 << 22) -> BoundReport:
     """Check |psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x| against its
     bound; samples with non-positive right side are skipped, not failed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport("short_interval_psi")
     x0 = math.exp(si.log_x0)
     for x in xs:
@@ -199,7 +199,7 @@ def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
         lhs = abs(short_interval_psi_delta(x, segment=segment))
         rhs = si.k3 * math.sqrt(x) * math.log(x) - si.k4
         report.add(x, 0, 0, lhs, rhs, what="short interval", skip_nonpositive_rhs=True)
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -212,7 +212,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport(f"ap_bounds_q{q}_a{a}")
     xs = sorted(xs)
     counter = ResidueCounter(q, segment=segment)
@@ -230,7 +230,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
         report.add(x, q, a, abs(ps_q[r] - x / phi_q),
                    evaluate_bounds("psi_ap", x, q, ap), what="psi",
                    skip_nonpositive_rhs=True)
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -240,7 +240,7 @@ def verify_lehman(zeros: ZeroTable, n_ranges: int = 25,
     sums from a Dirichlet zero table (runs only when such data exists)."""
     if zeros.kind != "dirichlet" or zeros.label is None:
         raise DomainError("verify_lehman needs a labelled dirichlet table")
-    t0 = time.time()
+    t0 = time.perf_counter()
     q = zeros.label.q
     report = BoundReport(f"lehman_zero_sum_q{q}")
     top = zeros.max_height
@@ -253,7 +253,7 @@ def verify_lehman(zeros: ZeroTable, n_ranges: int = 25,
             exact = exact_weighted_sum(zeros, phi.value, float(U), float(V))
             rhs = lehman_sum_upper(phi, float(U), float(V), q)
             report.add(float(U), q, 0, exact, rhs, what=f"{phi.name} on [{U:.2f},{V:.2f}]")
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report
 
 
@@ -263,12 +263,12 @@ def compare_gm_baseline(ap: APConstants, q: int, xs: Sequence[float]) -> BoundRe
     Comparison only: margin > 0 means our bound is smaller (better) at
     that x.  Nothing is counted as a violation.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = BoundReport(f"gm_baseline_q{q}")
     for x in xs:
         ours = evaluate_bounds("pi_ap", x, q, ap)
         baseline = gm_baseline_pi_bound(x, q)
         report.samples.append(BoundSample(
             x, q, 0, ours, baseline, baseline - ours, what="pi rhs vs baseline"))
-    report.runtime = time.time() - t0
+    report.runtime = time.perf_counter() - t0
     return report

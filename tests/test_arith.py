@@ -202,6 +202,39 @@ class TestCharacters:
             for n in tab:
                 assert abs(tab[m].value(n) - tab[n].value(m)) < 1e-12
 
+    @pytest.mark.parametrize("q", [840, 997, 1001, 1024])
+    def test_conrey_exponent_matrix_symmetric(self, q):
+        # chi_m(n) = chi_n(m): rows by Conrey index m, columns by unit n
+        chars = sorted(character_table(q), key=lambda c: c.index)
+        units = np.array([c.index for c in chars])
+        assert units.tolist() == [n for n in range(1, q) if math.gcd(n, q) == 1]
+        exps = np.array([c.exponent_table()[units] for c in chars])
+        assert np.array_equal(exps, exps.T)
+
+    @pytest.mark.parametrize("q", [105, 120, 128])
+    def test_multiplicative_on_all_unit_pairs(self, q):
+        units = np.array([n for n in range(1, q) if math.gcd(n, q) == 1])
+        products = np.outer(units, units) % q
+        for chi in character_table(q):
+            t = chi.exponent_table()
+            want = (t[units][:, None] + t[units][None, :]) % chi.group_exponent
+            assert np.array_equal(t[products], want)
+
+    @pytest.mark.parametrize("q", [105, 128, 997])
+    def test_exponent_of_outside_zero_to_q(self, q):
+        rng = np.random.default_rng(q)
+        ns = [-1, -q, -q - 1, q, q + 1, 5 * q + 2]
+        ns += rng.integers(-10 * q, 0, size=20).tolist()
+        ns += rng.integers(q, 10 * q, size=20).tolist()
+        for chi in character_table(q)[:16]:
+            table = chi.exponent_table()
+            for n in ns:
+                if math.gcd(n, q) == 1:
+                    assert chi.exponent_of(n) == table[n % q]
+                else:
+                    assert chi.exponent_of(n) is None
+                    assert table[n % q] == chi.group_exponent
+
     def test_parity_matches_minus_one(self):
         for q in (5, 7, 9, 12):
             for chi in character_table(q):

@@ -93,6 +93,16 @@ class TestCountAndBound:
         assert blob["rhs"] == pytest.approx(expected, rel=1e-12)
 
 
+    @pytest.mark.parametrize("x", ["1e309", "nan"])
+    @pytest.mark.parametrize("kind", ["principal", "psi_chi"])
+    def test_bound_non_finite_x_is_domain_error(self, capsys, kind, x):
+        code, out, err = run(capsys, "bound", "--kind", kind, "--x", x,
+                             "--q", "3", "--log-x0", "10")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestVerifyCommand:
     def test_missing_zeros_message(self, capsys, monkeypatch):
         monkeypatch.delenv("PNTAP_ZEROS_DIR", raising=False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pntap.constants as C
+from pntap.arith import ResidueCounter, character_table
 from pntap.errors import DomainError
 from pntap.verify import (BoundReport, compare_gm_baseline, verify_ap_bounds,
                           verify_bpt, verify_lehman, verify_psi1_explicit,
@@ -23,6 +24,32 @@ def ap10():
     si = C.short_interval_constants(10.0, C.kappa_for(10.0))
     tp = C.twisted_psi_constants(10.0, soz, si)
     return C.ap_constants(10.0, tp)
+
+
+class TestTwistedBoundsEmpirical:
+    """psi_chi/theta_chi against exact twisted sums for every chi mod 3..30."""
+
+    XS = [3e4, 1e5, 1e6, 1e7]
+
+    def test_every_character_within_bounds(self):
+        soz = C.soz_constants(10.0)
+        si = C.short_interval_constants(10.0, C.kappa_for(10.0))
+        tp = C.twisted_psi_constants(10.0, soz, si)
+        counts = ResidueCounter(range(3, 31)).counts_at_multi(self.XS)
+        checked = 0
+        for q, snaps in counts.items():
+            chars = character_table(q)
+            values = np.array([chi.value_table() for chi in chars])
+            for x, (_, theta, psi) in zip(self.XS, snaps):
+                psi_chi, theta_chi = values @ psi, values @ theta
+                assert chars[0].is_principal
+                assert abs(psi_chi[0].real - x) < C.evaluate_bounds("principal", x, q)
+                rhs_psi = C.evaluate_bounds("psi_chi", x, q, tp)
+                rhs_theta = C.evaluate_bounds("theta_chi", x, q, tp)
+                assert np.all(np.abs(psi_chi[1:]) < rhs_psi), (q, x)
+                assert np.all(np.abs(theta_chi[1:]) < rhs_theta), (q, x)
+                checked += len(chars) - 1
+        assert checked == 992  # 248 non-principal characters at 4 points
 
 
 class TestBptSuite:
