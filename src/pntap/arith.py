@@ -5,6 +5,12 @@ functions restricted to residue classes, Dirichlet character tables built
 by CRT over prime-power components, and exact twisted sums.  Everything
 here is the oracle side: no estimates, only counts.
 
+Every exact sum (ResidueCounter, residue_masses, lambda_sum_interval,
+psi1_plain and the functions built on them) runs through one kernel,
+_lambda_sums: a single prime_segments pass, split at the requested cuts,
+with prime powers added from one sorted array and per-residue float sums
+kept as vectorised Neumaier (sum, compensation) pairs of length q.
+
 Character values are carried as exact roots of unity (an exponent modulo
 the group exponent); complex numbers only appear when a sum is finally
 evaluated, so long twisted sums do not accumulate phase drift.  All
@@ -73,6 +79,8 @@ def euler_phi(q: int) -> int:
 def prime_segments(lo: int, hi: int, bp: np.ndarray | None = None,
                    segment: int = DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in [lo, hi], segment by segment."""
+    if segment < 1:
+        raise DomainError("sieve segment must be >= 1")
     if hi < lo or hi < 2:
         return
     lo = max(lo, 2)
@@ -106,6 +114,90 @@ def higher_prime_powers(n: int) -> Iterator[tuple[int, int, float]]:
 
 
 # ---------------------------------------------------------------------------
+# the Lambda-mass kernel
+# ---------------------------------------------------------------------------
+
+def _floor_int(x: float) -> int:
+    """floor(x) as an int; non-finite x is a domain error."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    return int(math.floor(x))
+
+
+def _neumaier_add(acc: np.ndarray, v: np.ndarray) -> None:
+    """acc[0] += v elementwise, the rounding error kept in acc[1] (Neumaier).
+
+    The compensated total is acc[0] + acc[1].
+    """
+    s = acc[0]
+    t = s + v
+    acc[1] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
+    acc[0] = t
+
+
+def _class_sums(n: np.ndarray, w: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-residue count and weight sum of the integers n mod q.
+
+    q = 1 needs no residues, and numpy's pairwise sum is more accurate than
+    bincount's running sum.
+    """
+    if q == 1:
+        return np.array([n.size]), np.array([w.sum()])
+    res = n % q
+    return np.bincount(res, minlength=q), np.bincount(res, weights=w, minlength=q)
+
+
+def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
+                 x: float | None = None, segment: int = DEFAULT_SEGMENT
+                 ) -> Iterator[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per-residue (pi, theta, psi) over lo <= n <= cut, at each ascending cut.
+
+    One sieve pass over [lo, cuts[-1]]; a segment's primes are split at the
+    cuts that fall inside it.  A prime p weighs log p, a prime power p^k
+    (k >= 2, psi only) weighs log p; with x given both weights are scaled
+    by (x - n).  Each modulus keeps a count vector and a compensated sum
+    of the prime weights; the prime powers up to a cut are added to a copy.
+    """
+    hi = cuts[-1]
+    pairs = sorted((pk, lp) for _, pk, lp in higher_prime_powers(hi) if pk >= lo)
+    pk = np.array([pk for pk, _ in pairs], dtype=np.int64)
+    lp = np.array([lp for _, lp in pairs], dtype=np.float64)
+    if x is not None:
+        lp = lp * (x - pk)
+    acc = {q: (np.zeros(q, dtype=np.int64), np.zeros((2, q))) for q in moduli}
+
+    def add_primes(pr, w):
+        for q, (pi, theta) in acc.items():
+            count, mass = _class_sums(pr, w, q)
+            pi += count
+            _neumaier_add(theta, mass)
+
+    def snapshot(cut):
+        upto = int(np.searchsorted(pk, cut, side="right"))
+        out = {}
+        for q, (pi, theta) in acc.items():
+            th = theta[0] + theta[1]
+            out[q] = (pi.copy(), th, th + _class_sums(pk[:upto], lp[:upto], q)[1])
+        return out
+
+    i = 0  # next cut to report
+    for pr in prime_segments(lo, hi, segment=segment):
+        w = np.log(pr, dtype=np.float64)
+        if x is not None:
+            w *= x - pr
+        start = 0
+        while i < len(cuts) and pr.size and pr[-1] > cuts[i]:
+            stop = int(np.searchsorted(pr, cuts[i], side="right"))
+            add_primes(pr[start:stop], w[start:stop])
+            start = stop
+            yield snapshot(cuts[i])
+            i += 1
+        add_primes(pr[start:], w[start:])
+    for cut in cuts[i:]:
+        yield snapshot(cut)
+
+
+# ---------------------------------------------------------------------------
 # residue-class counts
 # ---------------------------------------------------------------------------
 
@@ -134,7 +226,7 @@ class ResidueCounter:
 
     Serves one modulus or several at once (the prime enumeration dominates,
     so sharing it across moduli is nearly free).  theta and psi are
-    compensated across segments with math.fsum.
+    compensated (Neumaier) across segments, one length-q vector per modulus.
     """
 
     def __init__(self, q: int | Sequence[int], segment: int = DEFAULT_SEGMENT):
@@ -149,55 +241,17 @@ class ResidueCounter:
 
     def counts_at_multi(self, xs: Sequence[float]) -> dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         xs = list(xs)
+        if not xs:
+            raise DomainError("need at least one evaluation point")
         if any(x < 2 for x in xs):
             raise DomainError("counting functions need x >= 2")
         if sorted(xs) != xs:
             raise DomainError("evaluation points must be ascending")
-        limits = [int(math.floor(x)) for x in xs]
-        n_max = limits[-1]
-        bp = base_primes(math.isqrt(n_max))
-        pi_q = {q: np.zeros(q, dtype=np.int64) for q in self.qs}
-        th_parts = {q: [[] for _ in range(q)] for q in self.qs}
+        cuts = [_floor_int(x) for x in xs]
         results: dict[int, list] = {q: [] for q in self.qs}
-        out_idx = 0
-        # prime powers p^k (k >= 2) are few; added per snapshot
-        powers = sorted((pk, lp) for _, pk, lp in higher_prime_powers(n_max))
-
-        def snapshot(limit):
+        for snap in _lambda_sums(2, cuts, self.qs, segment=self.segment):
             for q in self.qs:
-                theta = np.array([math.fsum(parts) for parts in th_parts[q]])
-                psi = theta.copy()
-                for pk, lp in powers:
-                    if pk > limit:
-                        break
-                    psi[pk % q] += lp
-                results[q].append((pi_q[q].copy(), theta, psi))
-
-        start = 2
-        while start <= n_max:
-            stop = min(start + self.segment, n_max + 1)
-            # checkpoints strictly inside this segment force sub-slices
-            cuts = [limits[i] for i in range(out_idx, len(limits)) if start <= limits[i] < stop - 1]
-            bounds = sorted(set(cuts + [stop - 1]))
-            seg_lo = start
-            for b in bounds:
-                for pr in prime_segments(seg_lo, b, bp=bp, segment=self.segment):
-                    if pr.size:
-                        logs = np.log(pr.astype(np.float64))
-                        for q in self.qs:
-                            res = pr % q
-                            pi_q[q] += np.bincount(res, minlength=q)
-                            th_seg = np.bincount(res, weights=logs, minlength=q)
-                            for r in np.nonzero(th_seg)[0]:
-                                th_parts[q][r].append(th_seg[r])
-                while out_idx < len(limits) and limits[out_idx] == b:
-                    snapshot(limits[out_idx])
-                    out_idx += 1
-                seg_lo = b + 1
-            start = stop
-        while out_idx < len(limits):  # duplicates of the final limit
-            snapshot(limits[out_idx])
-            out_idx += 1
+                results[q].append(snap[q])
         return results
 
     def counts_at(self, xs: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -239,24 +293,12 @@ def theta_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
 
 def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> float:
     """Sum of Lambda(n) over a < n <= b, by sieving just the window."""
-    lo = int(math.floor(a)) + 1
-    hi = int(math.floor(b))
-    if hi < lo or hi < 2:
+    lo = max(_floor_int(a) + 1, 2)
+    hi = _floor_int(b)
+    if hi < lo:
         return 0.0
-    lo = max(lo, 2)
-    parts = []
-    bp = base_primes(math.isqrt(hi))
-    for pr in prime_segments(lo, hi, bp=bp, segment=segment):
-        if pr.size:
-            parts.append(float(np.log(pr.astype(np.float64)).sum()))
-    for p in bp.tolist():
-        pk = p * p
-        lp = math.log(p)
-        while pk <= hi:
-            if pk >= lo:
-                parts.append(lp)
-            pk *= p
-    return math.fsum(parts)
+    (snap,) = _lambda_sums(lo, [hi], [1], segment=segment)
+    return float(snap[1][2][0])
 
 
 def short_interval_psi_delta(x: float, segment: int = DEFAULT_SEGMENT) -> float:
@@ -271,15 +313,7 @@ def psi1_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
     """Linearly weighted Chebyshev function: sum of Lambda(n)(x - n), n <= x."""
     if x < 2:
         raise DomainError("requires x >= 2")
-    n_max = int(math.floor(x))
-    parts = []
-    for pr in prime_segments(2, n_max, segment=segment):
-        if pr.size:
-            w = np.log(pr.astype(np.float64))
-            parts.append(float((w * (x - pr)).sum()))
-    for _, pk, lp in higher_prime_powers(n_max):
-        parts.append(lp * (x - pk))
-    return math.fsum(parts)
+    return float(residue_masses(x, 1, "psi1", segment=segment)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +377,10 @@ class DirichletCharacter:
     """A Dirichlet character mod q, stored as generator exponents.
 
     value(n) is an exact root of unity exp(2 pi i j/e) with j =
-    exponent_of(n); parity is (1 - chi(-1))/2.  The generator-log matrix
-    and unit mask are shared by every character of the group; the weights
-    are the exponents scaled to the group exponent, so j = L[n] @ w mod e.
+    exponent_of(n); parity is (1 - chi(-1))/2.  The generator-log matrix,
+    the unit mask and the table of e-th roots of unity are shared by every
+    character of the group; the weights are the exponents scaled to the
+    group exponent, so j = L[n] @ w mod e.
     """
 
     q: int
@@ -359,6 +394,7 @@ class DirichletCharacter:
     _logs: np.ndarray = field(repr=False)     # (q, g) generator logs, shared
     _units: np.ndarray = field(repr=False)    # (q,) gcd(n, q) == 1, shared
     _weights: np.ndarray = field(repr=False)  # (g,) exponents * (e // order)
+    _roots: np.ndarray = field(repr=False)    # (e + 1,) exp(2 pi i j/e), 0 at e; shared
 
     def exponent_of(self, n: int) -> int | None:
         """Exponent j with chi(n) = exp(2 pi i j / group_exponent), or None."""
@@ -383,10 +419,7 @@ class DirichletCharacter:
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
-        e = self.group_exponent
-        roots = np.exp(2j * np.pi * np.arange(e + 1) / e)
-        roots[e] = 0.0
-        return roots[self.exponent_table()]
+        return self._roots[self.exponent_table()]
 
 
 def _conductor(components, exponents) -> int:
@@ -471,7 +504,9 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     n = np.arange(q)
     logs = np.concatenate([comp.log_table[n % comp.modulus] for comp in comps], axis=1)
     units = np.gcd(n, q) == 1
-    logs.flags.writeable = units.flags.writeable = False
+    roots = np.exp(2j * np.pi * np.arange(group_exp + 1) / group_exp)
+    roots[group_exp] = 0.0
+    logs.flags.writeable = units.flags.writeable = roots.flags.writeable = False
     scale = np.array([group_exp // s for s in orders_flat], dtype=np.int64)
 
     chars = []
@@ -490,6 +525,7 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
             _logs=logs,
             _units=units,
             _weights=weights,
+            _roots=roots,
         ))
     chars.sort(key=lambda ch: (not ch.is_principal, ch.index))
     if len(chars) != euler_phi(q):
@@ -502,28 +538,23 @@ def residue_masses(x: float, q: int, kind: str, segment: int = DEFAULT_SEGMENT) 
     or Lambda(n)(x - n) (psi1), summed over n <= x in each class mod q."""
     if kind not in ("psi", "theta", "psi1"):
         raise DomainError(f"unknown kind {kind!r}")
-    masses = [[] for _ in range(q)]
-    n_max = int(math.floor(x))
-    if n_max >= 2:
-        for pr in prime_segments(2, n_max, segment=segment):
-            if not pr.size:
-                continue
-            w = np.log(pr.astype(np.float64))
-            if kind == "psi1":
-                w = w * (x - pr)
-            seg = np.bincount(pr % q, weights=w, minlength=q)
-            for r in np.nonzero(seg)[0]:
-                masses[r].append(seg[r])
-        if kind in ("psi", "psi1"):
-            for _, pk, lp in higher_prime_powers(n_max):
-                masses[pk % q].append(lp * (x - pk) if kind == "psi1" else lp)
-    return np.array([math.fsum(m) for m in masses])
+    n_max = _floor_int(x)
+    if n_max < 2:
+        return np.zeros(q)
+    (snap,) = _lambda_sums(2, [n_max], [q], x=x if kind == "psi1" else None,
+                           segment=segment)
+    _, theta, psi = snap[q]
+    return theta if kind == "theta" else psi
 
 
 def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi",
                 segment: int = DEFAULT_SEGMENT) -> complex:
     """Exact twisted sum: sum of chi(n) Lambda(n) (optionally theta- or
-    psi1-weighted) over n <= x.  Empty for x < 2."""
+    psi1-weighted) over n <= x.  Empty for x < 2.
+
+    Each call sieves [2, x] once.  For every chi mod q, compute
+    residue_masses(x, q, kind) once and combine it with each value_table.
+    """
     if x < 2:
         return 0j
     mass = residue_masses(x, chi.q, kind, segment=segment)

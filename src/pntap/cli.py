@@ -17,8 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import constants as C
 from .arith import ap_counts
@@ -32,26 +30,6 @@ ZETA_FORMAT_HINT = (
     "zeta zeros file: plain text, one decimal ordinate per line, ascending; "
     "dirichlet zeros file: CSV with header q,index,gamma"
 )
-
-
-@dataclass
-class RunConfig:
-    """Run-wide knobs shared by the subcommands."""
-
-    precision: int = 30
-    quad_tol: float = 1e-12
-    zeros_path: Optional[str] = None
-    output_format: str = "md"
-    x0_list: list[float] = field(default_factory=lambda: list(C.LOG_X0_GRID))
-    sieve_segment: int = 1 << 22
-
-    def __post_init__(self):
-        if self.precision < 15:
-            raise PntapError("precision must be at least 15 digits")
-        if self.quad_tol <= 0:
-            raise PntapError("quad_tol must be positive")
-        if self.output_format not in ("md", "csv", "json"):
-            raise PntapError(f"unknown output format {self.output_format!r}")
 
 
 def fmt_cell(v) -> str:

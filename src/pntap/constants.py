@@ -30,8 +30,9 @@ from typing import Optional
 import mpmath as mp
 from scipy.optimize import minimize
 
+from .arith import prime_factors
 from .errors import DomainError, ValidationError
-from .quadrature import exp_integral_ei, log_integral_li
+from .quadrature import exp_integral_ei
 from .zerosum import count_remainder_R
 from .zeros import OMEGA_DEFAULT
 
@@ -682,20 +683,6 @@ def evaluate_bounds(kind: str, x: float, q: int, consts=None) -> float:
     raise DomainError(f"unknown bound kind {kind!r}")
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def gm_baseline_pi_bound(x: float, q: int) -> float:
     """Baseline progression bound from the cyclotomic specialization of the
     conditional density theorem, valid for x >= 2."""
@@ -706,12 +693,6 @@ def gm_baseline_pi_bound(x: float, q: int) -> float:
     lx = math.log(x)
     lq = math.log(q)
     sx = math.sqrt(x)
-    divisor_sum = math.fsum(math.log(p) / (p - 1) for p in _prime_divisors(q))
+    divisor_sum = math.fsum(math.log(p) / (p - 1) for p, _ in prime_factors(q))
     return (lx / (8 * PI) + (1.0 + 3.0 / lx) * lq / TWO_PI + 1.0 / (4 * PI) + 6.0 / lx) * sx \
         - sx * (1.0 / TWO_PI + 3.0 / lx) * divisor_sum
-
-
-def li_over_phi(x: float, q: int) -> float:
-    """Li(x)/phi(q), the main term of the progression prime count."""
-    from .arith import euler_phi
-    return log_integral_li(x) / euler_phi(q)

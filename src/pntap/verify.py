@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ResidueCounter, psi1_plain, short_interval_psi_delta
+from .arith import ResidueCounter, euler_phi, psi1_plain, short_interval_psi_delta
 from .constants import APConstants, ShortIntervalConstants, evaluate_bounds, \
     gm_baseline_pi_bound
 from .errors import CoverageError, DomainError
@@ -217,7 +217,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
     xs = sorted(xs)
     counter = ResidueCounter(q, segment=segment)
     snapshots = counter.counts_at(xs)
-    phi_q = len([r for r in range(q) if math.gcd(r, q) == 1])
+    phi_q = euler_phi(q)
     r = a % q
     for x, (pi_q, th_q, ps_q) in zip(xs, snapshots):
         li = log_integral_li(x)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pntap.arith import (APCounts, ResidueCounter, ap_counts, base_primes,
-                         character_table, euler_phi, higher_prime_powers,
+from pntap.arith import (DEFAULT_SEGMENT, APCounts, ResidueCounter, ap_counts,
+                         base_primes, character_table, euler_phi,
+                         higher_prime_powers,
                          lambda_sum_interval, prime_factors, prime_segments,
                          psi1_plain, psi_from_characters, psi_plain,
                          residue_masses, short_interval_psi_delta,
@@ -93,12 +94,40 @@ class TestSieve:
                 break
 
     def test_checkpoints_match_single_calls(self):
-        rc = ResidueCounter(7)
-        multi = rc.counts_at([100.0, 543.0, 2000.0])
-        for x, snap in zip([100.0, 543.0, 2000.0], multi):
-            single = ResidueCounter(7).counts_at([x])[0]
-            assert np.array_equal(snap[0], single[0])
-            assert np.allclose(snap[2], single[2], atol=1e-12)
+        cases = [
+            (DEFAULT_SEGMENT, [100.0, 543.0, 2000.0]),
+            # segments of 1024 start at 2, 1026, 2050, ...: the last and the
+            # first integer of a segment, a prime (1031), prime powers
+            # (2048, 2187) and a repeated checkpoint
+            (1024, [1025.0, 1026.0, 1031.0, 2048.0, 2187.0, 2187.0, 5000.5]),
+        ]
+        for segment, xs in cases:
+            multi = ResidueCounter(7, segment=segment).counts_at(xs)
+            assert len(multi) == len(xs)
+            for x, snap in zip(xs, multi):
+                single = ResidueCounter(7).counts_at([x])[0]
+                assert np.array_equal(snap[0], single[0])
+                assert np.allclose(snap[1], single[1], rtol=0, atol=1e-12)
+                assert np.allclose(snap[2], single[2], rtol=0, atol=1e-12)
+
+    def test_large_moduli_against_plain_sieve(self):
+        xs = [1.0e5, 2.0e5]
+        snaps = ResidueCounter([9973, 10000], segment=4096).counts_at_multi(xs)
+        for q in (9973, 10000):
+            for x, (pi_q, th_q, ps_q) in zip(xs, snaps[q]):
+                primes = base_primes(int(x))
+                res = primes % q
+                theta = np.bincount(res, weights=np.log(primes.astype(float)),
+                                    minlength=q)
+                psi = theta.copy()
+                for p in base_primes(math.isqrt(int(x))).tolist():
+                    pk = p * p
+                    while pk <= x:
+                        psi[pk % q] += math.log(p)
+                        pk *= p
+                assert np.array_equal(pi_q, np.bincount(res, minlength=q))
+                assert np.allclose(th_q, theta, rtol=0, atol=1e-9)
+                assert np.allclose(ps_q, psi, rtol=0, atol=1e-9)
 
     def test_gcd_precondition(self):
         with pytest.raises(DomainError):
@@ -131,6 +160,13 @@ class TestShortInterval:
         x = 2.0
         assert short_interval_psi_delta(x) == pytest.approx(
             -math.sqrt(2.0) * math.log(2.0), rel=1e-15)
+
+    def test_window_is_difference_of_psi(self):
+        # windows that start or end on a prime power, sieved in tiny segments
+        for a, b in [(1024, 2187), (1000.5, 1024), (1023, 1024), (1024, 1024),
+                     (2187, 3125), (2186.9, 2187.0), (3125, 4000.25)]:
+            got = lambda_sum_interval(a, b, segment=64)
+            assert got == pytest.approx(psi_plain(b) - psi_plain(a), abs=1e-9)
 
     def test_definitional_split(self):
         x = 12345.0

@@ -3,8 +3,7 @@ import math
 
 import pytest
 
-from pntap.cli import RunConfig, fmt_cell, main, render_table
-from pntap.errors import PntapError
+from pntap.cli import fmt_cell, main, render_table
 
 from conftest import ZEROS_FILE
 
@@ -102,6 +101,16 @@ class TestCountAndBound:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--x", "nan"], ["--x", "1e309"],
+        ["--x", "100", "--segment", "0"], ["--x", "100", "--segment", "-3"],
+    ], ids=["x-nan", "x-inf", "segment-0", "segment-neg"])
+    def test_count_bad_x_or_segment_is_domain_error(self, capsys, extra):
+        code, out, err = run(capsys, "count", "--q", "5", "--a", "2", *extra)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
 
 class TestVerifyCommand:
     def test_missing_zeros_message(self, capsys, monkeypatch):
@@ -137,23 +146,6 @@ class TestVerifyCommand:
                            "--a", "2", "--x", "3e7")
         assert code == 0
         assert "skipped" in out
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.precision == 30
-        assert cfg.quad_tol == 1e-12
-        assert cfg.output_format == "md"
-        assert cfg.x0_list[0] == 10.0
-
-    def test_validation(self):
-        with pytest.raises(PntapError):
-            RunConfig(precision=10)
-        with pytest.raises(PntapError):
-            RunConfig(quad_tol=0.0)
-        with pytest.raises(PntapError):
-            RunConfig(output_format="xml")
 
 
 class TestSmallDefaultGrid:
