@@ -1,0 +1,6 @@
+"""``python -m pntap``: the command-line interface, without an install."""
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -31,6 +31,10 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 DEFAULT_SEGMENT = 1 << 22
+# The largest x an exact sum accepts: 2^53, below which every integer n <= x
+# is exact in float64.  The base primes up to sqrt(x) then take a bool array
+# of about 95 MB; far larger x would ask numpy for an array it cannot hold.
+SIEVE_X_MAX = float(2 ** 53)
 TWO_PI_ = 2.0 * math.pi
 
 
@@ -118,9 +122,11 @@ def higher_prime_powers(n: int) -> Iterator[tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 
 def _floor_int(x: float) -> int:
-    """floor(x) as an int; non-finite x is a domain error."""
+    """floor(x) as an int; non-finite x or x > SIEVE_X_MAX is a domain error."""
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
+    if x > SIEVE_X_MAX:
+        raise DomainError(f"x = {x!r} is beyond the sieve's limit {SIEVE_X_MAX:.6g}")
     return int(math.floor(x))
 
 

@@ -20,11 +20,21 @@ reference tables were produced exactly this way, so the scheme is kept
 bit-for-bit to make table reproduction mechanical.  Treat the large-x0
 rows as reference values tied to this quadrature, not as independently
 certified bounds.
+
+The chain asks for the same integrals many times (every table section
+rebuilds it, and the small-moduli chain shares its sigma6 anchor across
+rows), so ``_reference_quad`` is memoised per ``(kind, a, b)`` and
+``optimize_kappa`` per ``(log_x0, include_anchors)``, each keeping up to
+1024 results within a process.  The 15-digit pin sits inside the memoised
+function, so a cached value is the value a fresh evaluation gives,
+whatever the global mpmath precision.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
@@ -43,6 +53,8 @@ GAMMA_1 = 14.13472
 KAPPA2_FLOOR = 1.74663
 SMALL_X0_MIN = 1.05e7
 SMALL_LOG_X0_MIN = math.log(1.05e7)
+# the largest log x0 whose x0 = exp(log x0) is still a finite float
+LOG_X0_MAX = math.log(sys.float_info.max)
 
 # default log-x0 grid used by the table commands; the small-moduli rows
 # start at the first multiple of ten above log(1.05e7)
@@ -70,8 +82,22 @@ REFERENCE_KAPPA = {
 }
 
 _MP_QUARTER = mp.mpf(1) / 4
+# `constants --which all` on the default grid asks for 101 distinct
+# (kind, a, b) keys; the bound leaves room for off-grid rows and caps the
+# memory of long-lived callers
+_CACHE_SIZE = 1024
 
 
+def _require_log_x0(log_x0: float) -> None:
+    """DomainError unless 10 <= log x0 <= LOG_X0_MAX (so not NaN or inf)."""
+    if not (math.isfinite(log_x0) and log_x0 <= LOG_X0_MAX):
+        raise DomainError(
+            f"log x0 must be finite and at most {LOG_X0_MAX:.2f}, got {log_x0}")
+    if log_x0 < 10.0:
+        raise DomainError(f"requires log x0 >= 10, got {log_x0}")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _reference_quad(kind: str, a: float, b: float) -> float:
     """Tanh-sinh quadrature at 15 digits; the table-compatibility scheme.
 
@@ -79,6 +105,9 @@ def _reference_quad(kind: str, a: float, b: float) -> float:
     "plain"  -> (1/4+t^2)^(-1/2)
     "logt"   -> log(t/2pi) (1/4+t^2)^(-1/2)
     "over_t" -> t^(-1) (1/4+t^2)^(-1/2)
+
+    Memoised per (kind, a, b); the precision pin below makes the key
+    determine the value.
     """
     if kind == "plain":
         f = lambda t: 1 / mp.sqrt(_MP_QUARTER + t * t)
@@ -159,8 +188,7 @@ def _soz_pieces(log_x0: float):
 
 def soz_constants(log_x0: float) -> SozConstants:
     """Zero-sum constants k1(x0), k2(x0) for general moduli, log x0 >= 10."""
-    if log_x0 < 10.0:
-        raise DomainError(f"requires log x0 >= 10, got {log_x0}")
+    _require_log_x0(log_x0)
     eta, sx, nu3, nu4, fac12, fac32, f1, f2, f3 = _soz_pieces(log_x0)
     lower = 5.0 / 7.0
     w0 = 1.0 / math.sqrt(0.25 + lower * lower)
@@ -321,8 +349,7 @@ def k3_value(log_x0: float, kappa0: float, kappa1: float, kappa2: float) -> floa
 
 def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortIntervalConstants:
     """Assemble k3(x0), k4(x0) at the given tuning parameters, log x0 >= 10."""
-    if log_x0 < 10.0:
-        raise DomainError(f"requires log x0 >= 10, got {log_x0}")
+    _require_log_x0(log_x0)
     kappa0, kappa1, kappa2 = kappa.kappa0, kappa.kappa1, kappa.kappa2
     sx = math.exp(0.5 * log_x0)
     eta = sx / log_x0
@@ -356,16 +383,17 @@ class KappaSearch:
     converged: bool
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def optimize_kappa(log_x0: float, include_anchors: bool = True) -> KappaSearch:
     """Minimize k3 over the tuning parameters, deterministically.
 
     Coarse log-grid over (kappa0, kappa1) with the canonical kappa2
     reduction, Nelder-Mead refinement from the grid optimum, plus the
     reference tuning rows as candidate points (so the search never
-    returns a k3 worse than a regression anchor).
+    returns a k3 worse than a regression anchor).  Memoised: the search
+    runs once per (log_x0, include_anchors) in a process.
     """
-    if log_x0 < 10.0:
-        raise DomainError(f"requires log x0 >= 10, got {log_x0}")
+    _require_log_x0(log_x0)
 
     def objective(z):
         kap0, kap1 = math.exp(z[0]), math.exp(z[1])
@@ -597,8 +625,7 @@ def ap_constants(log_x0: float, tp: TwistedPsiConstants,
     bundled reference tables for the general chain fold the signed Omega1,
     so that is the default.
     """
-    if log_x0 < 10.0:
-        raise DomainError(f"requires log x0 >= 10, got {log_x0}")
+    _require_log_x0(log_x0)
     if abs(tp.log_x0 - log_x0) > 1e-12:
         raise ValidationError("tp must be computed at the same log x0")
     sx = math.exp(0.5 * log_x0)

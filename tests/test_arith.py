@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pntap.arith import (DEFAULT_SEGMENT, APCounts, ResidueCounter, ap_counts,
-                         base_primes, character_table, euler_phi,
+from pntap.arith import (DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts, ResidueCounter,
+                         _floor_int, ap_counts, base_primes, character_table,
+                         euler_phi,
                          higher_prime_powers,
                          lambda_sum_interval, prime_factors, prime_segments,
                          psi1_plain, psi_from_characters, psi_plain,
@@ -132,6 +133,25 @@ class TestSieve:
     def test_gcd_precondition(self):
         with pytest.raises(DomainError):
             ap_counts(100, 4, 2)
+
+    def test_sieve_limit_is_inclusive(self):
+        assert _floor_int(SIEVE_X_MAX) == 2 ** 53
+        with pytest.raises(DomainError, match="limit"):
+            _floor_int(math.nextafter(SIEVE_X_MAX, math.inf))
+
+    # x far beyond the limit: numpy refuses the base-prime array without
+    # allocating it, so a missing check fails here fast instead of sieving
+    @pytest.mark.parametrize("x", [1e40, 1e300])
+    def test_x_beyond_sieve_limit_is_domain_error(self, x):
+        chi = character_table(5)[1]
+        calls = [lambda: ap_counts(x, 5, 2), lambda: psi_plain(x),
+                 lambda: theta_plain(x), lambda: residue_masses(x, 7, "psi"),
+                 lambda: lambda_sum_interval(x / 2, x), lambda: psi1_plain(x),
+                 lambda: twisted_sum(x, chi), lambda: psi_from_characters(x, 5, 2),
+                 lambda: ResidueCounter([3, 4]).counts_at_multi([1e3, x])]
+        for call in calls:
+            with pytest.raises(DomainError, match="limit"):
+                call()
 
     def test_psi_near_x(self):
         # |psi(x) - x| < sqrt(x) log(x)^2 / (8 pi) at a desk-scale point

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,18 @@ class TestConstantsCommand:
         rerendered = render_table(header.split(","), reparsed, "csv")
         assert rerendered.strip() == first.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["--which", "soz", "--log-x0", "nan"],
+        ["--which", "all", "--log-x0", "inf"],
+        ["--which", "all", "--log-x0", "720"],
+    ], ids=["soz-nan", "all-inf", "all-720"])
+    def test_bad_log_x0_is_error_row(self, capsys, argv):
+        code, out, _ = run(capsys, "constants", *argv, "--format", "csv")
+        assert code == 2
+        rows = [line for line in out.splitlines() if "error: log x0 must be finite" in line]
+        sections = 1 if "soz" in argv else 4
+        assert len(rows) == sections
+
     def test_json_parses(self, capsys):
         code, out, _ = run(capsys, "constants", "--which", "ap",
                            "--log-x0", "10", "--format", "json")
@@ -111,6 +127,20 @@ class TestCountAndBound:
         assert out == ""
         assert "error" in err
 
+    def test_bound_log_x0_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "bound", "--kind", "psi_ap", "--x", "1e20",
+                             "--q", "5", "--log-x0", "720")
+        assert code == 2
+        assert out == ""
+        assert "log x0 must be finite" in err
+
+    @pytest.mark.parametrize("x", ["1e40", "1e300"])
+    def test_count_x_beyond_sieve_limit(self, capsys, x):
+        code, out, err = run(capsys, "count", "--x", x, "--q", "5", "--a", "2")
+        assert code == 2
+        assert out == ""
+        assert "sieve's limit" in err
+
 
 class TestVerifyCommand:
     def test_missing_zeros_message(self, capsys, monkeypatch):
@@ -156,6 +186,18 @@ class TestSmallDefaultGrid:
         assert code == 0
         assert len(rows) == 13
         assert rows[0].startswith("20.00000")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pntap", "constants", "--which", "soz",
+             "--log-x0", "10", "--format", "csv"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].startswith("10.00000,3.10557")
 
 
 class TestRendering:

@@ -1,8 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import pntap.cli as cli
 import pntap.constants as C
 from pntap.errors import DomainError, ValidationError
 from pntap.quadrature import exp_integral_ei
@@ -285,3 +288,91 @@ class TestGmBaseline:
         d40 = (C.evaluate_bounds("pi_ap", 1e40, q, ap)
                - C.gm_baseline_pi_bound(1e40, q)) / math.sqrt(1e40)
         assert abs(d40 - d30) < 0.05
+
+
+class TestLogX0Domain:
+    @pytest.mark.parametrize("lx", [math.nan, math.inf, -math.inf, 720.0])
+    def test_entry_points_reject(self, lx):
+        kappa = C.KappaParams(*C.REFERENCE_KAPPA[10.0])
+        _, _, tp, _ = chain(10.0)
+        calls = [lambda: C.soz_constants(lx), lambda: C.soz_constants_small(lx),
+                 lambda: C.short_interval_constants(lx, kappa),
+                 lambda: C.optimize_kappa(lx), lambda: C.kappa_for(lx),
+                 lambda: C.ap_constants(lx, tp)]
+        before = C.optimize_kappa.cache_info().currsize
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+        assert C.optimize_kappa.cache_info().currsize == before
+
+    def test_ceiling_itself_is_admissible(self):
+        lx = C.LOG_X0_MAX
+        assert math.isfinite(math.exp(lx))
+        si = C.short_interval_constants(lx, C.kappa_for(lx))
+        assert si.k3 > 0
+
+
+class TestCaches:
+    """The memoised leaves return exactly what a fresh evaluation returns."""
+
+    @staticmethod
+    def record_quad_keys(monkeypatch, *argvs):
+        cached = C._reference_quad
+        keys = []
+
+        def recording(*key):
+            keys.append(key)
+            return cached(*key)
+
+        monkeypatch.setattr(C, "_reference_quad", recording)
+        for argv in argvs:
+            assert cli.main(["constants", "--which", "all", *argv]) == 0
+        monkeypatch.setattr(C, "_reference_quad", cached)
+        return keys
+
+    def test_cached_quadrature_is_bit_identical(self, monkeypatch, capsys):
+        C._reference_quad.cache_clear()
+        keys = set(self.record_quad_keys(monkeypatch, [], ["--small"]))
+        capsys.readouterr()
+        assert {kind for kind, _, _ in keys} == {"plain", "logt", "over_t"}
+        for key in sorted(keys):
+            assert C._reference_quad(*key).hex() == C._reference_quad.__wrapped__(*key).hex(), key
+
+    def test_cached_value_ignores_global_precision(self):
+        keys = [("plain", 5.0 / 7.0, C.splitting_height(80.0)),
+                ("logt", 200.0, C.splitting_height(40.0)),
+                ("over_t", 5.0 / 7.0, C.splitting_height(500.0))]
+        C._reference_quad.cache_clear()
+        default = [C._reference_quad(*key) for key in keys]
+        C._reference_quad.cache_clear()
+        with mp.workdps(30):
+            assert mp.mp.dps == 30
+            at_30 = [C._reference_quad(*key) for key in keys]
+        assert [v.hex() for v in at_30] == [v.hex() for v in default]
+
+    def test_one_miss_per_distinct_key(self, monkeypatch, capsys):
+        C._reference_quad.cache_clear()
+        keys = self.record_quad_keys(monkeypatch, ["--small"])
+        capsys.readouterr()
+        info = C._reference_quad.cache_info()
+        assert info.misses == len(set(keys))
+        assert info.hits == len(keys) - len(set(keys)) > 0
+
+    def test_kappa_search_runs_once_per_row(self, monkeypatch, capsys):
+        searches = []
+
+        def counting_minimize(*args, **kwargs):
+            searches.append(args)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(C, "minimize", counting_minimize)
+        C.optimize_kappa.cache_clear()
+        argv = ["constants", "--which", "all", "--log-x0", "37.5"]
+        for which in ("soz", "short-interval", "twisted", "ap"):
+            assert cli.main(argv[:2] + [which] + argv[3:]) == 0
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--small"]) == 0
+        capsys.readouterr()
+        assert len(searches) == 1
+        assert C.optimize_kappa.cache_info().misses == 1
+        assert C.kappa_for(37.5) == C.optimize_kappa.__wrapped__(37.5).kappa
