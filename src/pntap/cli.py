@@ -20,7 +20,7 @@ import sys
 
 from . import constants as C
 from .arith import ap_counts
-from .errors import PntapError
+from .errors import DomainError, PntapError
 from .verify import (compare_gm_baseline, verify_ap_bounds, verify_bpt,
                      verify_lehman, verify_psi1_explicit,
                      verify_short_interval, verify_zero_count)
@@ -191,24 +191,26 @@ def cmd_verify(args) -> int:
         xs = args.x or [500.0, 1000.0, 5000.0]
         report = verify_psi1_explicit(_load_zeros(args), xs, t_trunc=args.t_trunc)
     elif suite == "short-interval":
-        lx = args.log_x0 or 10.0
+        lx = 10.0 if args.log_x0 is None else args.log_x0
         si = C.short_interval_constants(lx, C.kappa_for(lx))
-        xs = args.x or _log_grid(math.exp(lx), args.x_max or 1e9, 8)
-        report = verify_short_interval(si, xs, segment=args.segment)
+        report = verify_short_interval(si, _sample_xs(args, math.exp(lx)),
+                                       segment=args.segment)
     elif suite == "ap":
-        q, a = args.q or 3, args.a or 1
-        lx = args.log_x0 or (C.SMALL_LOG_X0_MIN if args.small else 10.0)
+        q = 3 if args.q is None else args.q
+        a = 1 if args.a is None else args.a
+        lx = args.log_x0
+        if lx is None:
+            lx = C.SMALL_LOG_X0_MIN if args.small else 10.0
         *_, ap = _chain(lx, args.small, False)
-        xs = args.x or _log_grid(max(math.exp(lx), float(q)), args.x_max or 1e9, 8)
+        xs = _sample_xs(args, max(math.exp(lx), float(q)))
         report = verify_ap_bounds(ap, q, a, xs, segment=args.segment)
     elif suite == "lehman":
         report = verify_lehman(_load_zeros(args, kind="dirichlet"))
     elif suite == "gm":
-        q = args.q or 3
-        lx = args.log_x0 or 10.0
+        q = 3 if args.q is None else args.q
+        lx = 10.0 if args.log_x0 is None else args.log_x0
         *_, ap = _chain(lx, args.small, False)
-        xs = args.x or _log_grid(max(math.exp(lx), float(q)), args.x_max or 1e9, 8)
-        report = compare_gm_baseline(ap, q, xs)
+        report = compare_gm_baseline(ap, q, _sample_xs(args, max(math.exp(lx), float(q))))
     else:
         raise PntapError(f"unknown suite {suite!r}")
 
@@ -219,6 +221,18 @@ def cmd_verify(args) -> int:
     else:
         print(text)
     return 0 if report.passed else 1
+
+
+def _sample_xs(args, lo: float) -> list[float]:
+    """The --x points, else 8 log-spaced points from lo to --x-max (1e9)."""
+    if args.x is not None:
+        return args.x
+    if args.x_max is None:
+        return _log_grid(lo, 1e9, 8)
+    if not args.x_max >= lo:
+        raise DomainError(f"--x-max must be >= the first sample x = {lo:.6g}, "
+                          f"got {args.x_max!r}")
+    return _log_grid(lo, args.x_max, 8)
 
 
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:

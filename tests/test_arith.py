@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pntap.arith import (DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts, ResidueCounter,
-                         _floor_int, ap_counts, base_primes, character_table,
+from pntap.arith import (_FOLD_LCM_MAX, DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts,
+                         ResidueCounter, _floor_int, _fold_groups, ap_counts,
+                         base_primes, character_table,
                          euler_phi,
                          higher_prime_powers,
                          lambda_sum_interval, prime_factors, prime_segments,
@@ -165,6 +166,102 @@ class TestSieve:
         stuck = math.fsum(
             lambda_naive(n) for n in range(2, int(x) + 1) if math.gcd(n, q) > 1)
         assert total + stuck == pytest.approx(psi_plain(x), abs=1e-8)
+
+
+def plain_class_sums(x: float, q: int):
+    """Per-residue (pi, theta, psi) mod q from one plain numpy sieve."""
+    primes = base_primes(int(x))
+    res = primes % q
+    theta = np.bincount(res, weights=np.log(primes.astype(float)), minlength=q)
+    psi = theta.copy()
+    for p in base_primes(math.isqrt(int(x))).tolist():
+        pk = p * p
+        while pk <= x:
+            psi[pk % q] += math.log(p)
+            pk *= p
+    return np.bincount(res, minlength=q), theta, psi
+
+
+class TestOddOnlySegments:
+    # segment starts odd and even, windows starting on p^2 (9, 25, 49, 121)
+    # and on a prime (3, 1031), and hi = 2
+    ENDS = [2, 3, 4, 8, 9, 25, 48, 49, 121, 1024, 1025, 1031]
+
+    @pytest.mark.parametrize("segment", [1, 2, 3, 7, 1024])
+    def test_against_plain_sieve(self, segment):
+        oracle = base_primes(max(self.ENDS))
+        for lo in self.ENDS:
+            for hi in self.ENDS:
+                parts = list(prime_segments(lo, hi, segment=segment))
+                want = oracle[(oracle >= lo) & (oracle <= hi)]
+                got = np.concatenate(parts) if parts else np.empty(0, np.int64)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (lo, hi, segment)
+                # one array per segment, each inside its own window
+                n = max(0, hi - max(lo, 2) + 1)
+                assert len(parts) == -(-n // segment)
+                for k, part in enumerate(parts):
+                    start = max(lo, 2) + k * segment
+                    assert np.all((part >= start) & (part < start + segment))
+
+
+class TestModuliFold:
+    MODULI = [1, 2, 3, 6, 12, 24, 17, 19, 23, _FOLD_LCM_MAX, 5051]
+    XS = [2.0, 1.0e4, 54321.5, 1.5e5]
+
+    def test_groups_divide_their_lcm(self):
+        for moduli in (self.MODULI, list(range(3, 31)), [9973, 9240, 8192, 10000]):
+            groups = _fold_groups(moduli)
+            assert sorted(q for _, members in groups for q in members) == sorted(moduli)
+            for big, members in groups:
+                assert all(big % q == 0 for q in members)
+                assert big <= _FOLD_LCM_MAX or big in members
+        assert len(_fold_groups(range(3, 31))) == 5
+        assert len(_fold_groups([9973, 9240, 8192, 10000])) == 4
+
+    def test_against_plain_sieve(self):
+        snaps = ResidueCounter(self.MODULI, segment=4096).counts_at_multi(self.XS)
+        for q in self.MODULI:
+            for x, (pi_q, th_q, ps_q) in zip(self.XS, snaps[q]):
+                pi, theta, psi = plain_class_sums(x, q)
+                assert np.array_equal(pi_q, pi), (q, x)
+                assert np.allclose(th_q, theta, rtol=0, atol=1e-9), (q, x)
+                assert np.allclose(ps_q, psi, rtol=0, atol=1e-9), (q, x)
+
+    def test_order_and_company_do_not_matter(self):
+        base = ResidueCounter(self.MODULI, segment=4096).counts_at_multi(self.XS)
+        shuffled = list(self.MODULI)
+        np.random.default_rng(6).shuffle(shuffled)
+        assert shuffled != self.MODULI
+        again = ResidueCounter(shuffled, segment=4096).counts_at_multi(self.XS)
+        for q in self.MODULI:
+            single = ResidueCounter([q], segment=4096).counts_at(self.XS)
+            for a, b, c in zip(base[q], again[q], single):
+                for u, v in zip(a, b):
+                    assert np.array_equal(u, v)
+                assert np.array_equal(a[0], c[0])
+                assert np.allclose(a[1], c[1], rtol=0, atol=1e-9)
+                assert np.allclose(a[2], c[2], rtol=0, atol=1e-9)
+
+    def test_class_sums_within_1e14_of_fsum(self):
+        # every class of every q in 3..30 at 1e6, against math.fsum of the
+        # same float64 weights: only the summation error is measured
+        x = 10 ** 6
+        primes = base_primes(x)
+        logs = np.log(primes.astype(float))
+        powers = [(pk, lp) for _, pk, lp in higher_prime_powers(x)]
+        moduli = list(range(3, 31))
+        snaps = ResidueCounter(moduli).counts_at_multi([float(x)])
+        for q in moduli:
+            _, th_q, ps_q = snaps[q][0]
+            theta_terms = [[] for _ in range(q)]
+            for r, w in zip((primes % q).tolist(), logs.tolist()):
+                theta_terms[r].append(w)
+            for r in range(q):
+                theta = math.fsum(theta_terms[r])
+                psi = math.fsum(theta_terms[r] + [w for pk, w in powers if pk % q == r])
+                assert abs(th_q[r] - theta) <= 1e-14 * theta, (q, r)
+                assert abs(ps_q[r] - psi) <= 1e-14 * psi, (q, r)
 
 
 class TestShortInterval:

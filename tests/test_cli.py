@@ -171,6 +171,25 @@ class TestVerifyCommand:
                            "--x-max", "1e6")
         assert code == 0
 
+    # an explicit 0 is a value, not "use the default": each of these once
+    # ran the default chain, modulus, class or range and passed
+    @pytest.mark.parametrize("argv", [
+        ["short-interval", "--log-x0", "0", "--x", "3e5"],
+        ["ap", "--log-x0", "0", "--x", "3e5"],
+        ["gm", "--log-x0", "0", "--x", "3e5"],
+        ["ap", "--q", "0", "--x-max", "1e6"],
+        ["gm", "--q", "0", "--x-max", "1e6"],
+        ["ap", "--q", "3", "--a", "0", "--x-max", "1e6"],
+        ["ap", "--q", "3", "--a", "1", "--x-max", "0"],
+        ["short-interval", "--x-max", "0"],
+    ], ids=["si-log-x0", "ap-log-x0", "gm-log-x0", "ap-q", "gm-q", "ap-a",
+            "ap-x-max", "si-x-max"])
+    def test_explicit_zero_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_ap_suite_small_defaults_above_threshold(self, capsys):
         code, out, _ = run(capsys, "verify", "ap", "--small", "--q", "5",
                            "--a", "2", "--x", "3e7")
