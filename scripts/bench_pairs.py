@@ -53,7 +53,7 @@ def machine() -> dict:
         pass
     out = {"cpu": cpu, "os_cpu_count": os.cpu_count(),
            "python": platform.python_version()}
-    for name in ("numpy", "scipy", "mpmath"):
+    for name in ("numpy", "mpmath"):
         try:
             out[name] = importlib.import_module(name).__version__
         except ImportError:

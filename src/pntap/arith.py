@@ -323,11 +323,6 @@ class ResidueCounter:
         return self.counts_at_multi(xs)[self.q]
 
 
-def residue_counts(x: float, q: int, segment: int = DEFAULT_SEGMENT):
-    """Per-residue (pi, theta, psi) arrays up to x."""
-    return ResidueCounter(q, segment=segment).counts_at([x])[0]
-
-
 def ap_counts(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> APCounts:
     """Exact pi/theta/psi at x in the class a mod q (q = 1: unrestricted)."""
     if x < 2:
@@ -336,7 +331,7 @@ def ap_counts(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> APCou
         raise DomainError("q must be >= 1")
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
-    pi_q, th_q, ps_q = residue_counts(x, q, segment=segment)
+    pi_q, th_q, ps_q = ResidueCounter(q, segment=segment).counts_at([x])[0]
     r = a % q
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 
@@ -345,15 +340,13 @@ def psi_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) for n <= x."""
     if x < 2:
         return 0.0
-    pi_q, th_q, ps_q = residue_counts(x, 1, segment=segment)
-    return float(ps_q[0])
+    return float(residue_masses(x, 1, "psi", segment=segment)[0])
 
 
 def theta_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
     if x < 2:
         return 0.0
-    pi_q, th_q, ps_q = residue_counts(x, 1, segment=segment)
-    return float(th_q[0])
+    return float(residue_masses(x, 1, "theta", segment=segment)[0])
 
 
 def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> float:

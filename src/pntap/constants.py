@@ -10,6 +10,10 @@ Produces every record in the chain
 together with right-hand-side evaluators for every bound the chain yields
 and the cyclotomic baseline comparator.
 
+Off the reference grid, kappa comes from ``optimize_kappa``, a compass
+search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
+"Optimization by direct search", SIAM Review 45, 2003).
+
 Reference-table compatibility
 -----------------------------
 The definite integrals feeding the zero-sum constants are evaluated with
@@ -24,10 +28,10 @@ certified bounds.
 The chain asks for the same integrals many times (every table section
 rebuilds it, and the small-moduli chain shares its sigma6 anchor across
 rows), so ``_reference_quad`` is memoised per ``(kind, a, b)`` and
-``optimize_kappa`` per ``(log_x0, include_anchors)``, each keeping up to
-1024 results within a process.  The 15-digit pin sits inside the memoised
-function, so a cached value is the value a fresh evaluation gives,
-whatever the global mpmath precision.
+``optimize_kappa`` per ``log_x0``, each keeping up to 1024 results within
+a process.  The 15-digit pin sits inside the memoised function, so a
+cached value is the value a fresh evaluation gives, whatever the global
+mpmath precision.
 """
 from __future__ import annotations
 
@@ -38,7 +42,6 @@ from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
-from scipy.optimize import minimize
 
 from .arith import prime_factors
 from .errors import DomainError, ValidationError
@@ -383,44 +386,50 @@ class KappaSearch:
     converged: bool
 
 
+# compass directions in (log kappa0, log kappa1); the last pair follows the
+# ridge kappa0*kappa1 = KAPPA2_FLOOR that KappaParams.reduced creates
+_COMPASS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def optimize_kappa(log_x0: float, include_anchors: bool = True) -> KappaSearch:
+def optimize_kappa(log_x0: float) -> KappaSearch:
     """Minimize k3 over the tuning parameters, deterministically.
 
     Coarse log-grid over (kappa0, kappa1) with the canonical kappa2
-    reduction, Nelder-Mead refinement from the grid optimum, plus the
-    reference tuning rows as candidate points (so the search never
-    returns a k3 worse than a regression anchor).  Memoised: the search
-    runs once per (log_x0, include_anchors) in a process.
+    reduction, then a compass search in (log kappa0, log kappa1) from the
+    grid optimum: take the first of six directions that improves, halve
+    the step from 0.25 when none does, and stop at 1e-10 (converged) or
+    after 4000 evaluations.  The reference tuning rows are candidate
+    points too, so the search never returns a k3 worse than a regression
+    anchor.  Memoised: the search runs once per log_x0 in a process.
     """
     _require_log_x0(log_x0)
 
-    def objective(z):
-        kap0, kap1 = math.exp(z[0]), math.exp(z[1])
+    def objective(l0, l1):
+        kap0, kap1 = math.exp(l0), math.exp(l1)
         if not (0.0 < kap0 < 1.0 and 1.0 < kap1 < 1e4):
             return math.inf
         return k3_value(log_x0, kap0, kap1, max(KAPPA2_FLOOR, kap0 * kap1))
 
-    best_val, best_z = math.inf, None
-    for i in range(13):
-        l0 = -4.6 + i * (2.6 / 12.0)
-        for j in range(21):
-            l1 = 1.5 + j * (5.0 / 20.0)
-            v = objective((l0, l1))
+    grid = ((-4.6 + i * (2.6 / 12.0), 1.5 + j * 0.25) for i in range(13) for j in range(21))
+    best_val, l0, l1 = min((objective(*z), *z) for z in grid)
+    step, evals = 0.25, 0
+    while step >= 1e-10 and evals < 4000:
+        for d0, d1 in _COMPASS:
+            evals += 1
+            v = objective(l0 + step * d0, l1 + step * d1)
             if v < best_val:
-                best_val, best_z = v, (l0, l1)
-    res = minimize(objective, best_z, method="Nelder-Mead",
-                   options=dict(xatol=1e-10, fatol=1e-13, maxiter=4000, maxfev=4000))
-    converged = bool(res.success)
-    kap0, kap1 = math.exp(res.x[0]), math.exp(res.x[1])
-    best = KappaSearch(KappaParams.reduced(kap0, kap1),
-                       k3_value(log_x0, kap0, kap1, max(KAPPA2_FLOOR, kap0 * kap1)),
-                       converged)
-    if include_anchors:
-        for row in REFERENCE_KAPPA.values():
-            v = k3_value(log_x0, *row)
-            if v < best.k3:
-                best = KappaSearch(KappaParams(*row), v, converged)
+                best_val, l0, l1 = v, l0 + step * d0, l1 + step * d1
+                break
+        else:
+            step *= 0.5
+    converged = step < 1e-10
+    kap0, kap1 = math.exp(l0), math.exp(l1)
+    best = KappaSearch(KappaParams.reduced(kap0, kap1), best_val, converged)
+    for row in REFERENCE_KAPPA.values():
+        v = k3_value(log_x0, *row)
+        if v < best.k3:
+            best = KappaSearch(KappaParams(*row), v, converged)
     return best
 
 
@@ -489,10 +498,6 @@ class TwistedPsiConstants:
 
     log_x0: float
     g2_below: float  # modulus constant in the q < 10^30 regime, at its cap
-    g2_above: float  # modulus constant at the q = 10^30 boundary
-    sigma1: float
-    sigma2: float
-    sigma3: float
     sigma4: float
     sigma5: float
     k5: float
@@ -506,12 +511,13 @@ class TwistedPsiConstants:
 
 
 def twisted_psi_constants(log_x0: float, soz: SozConstants,
-                          si: ShortIntervalConstants,
-                          q0: int = 3) -> TwistedPsiConstants:
+                          si: ShortIntervalConstants) -> TwistedPsiConstants:
     """Assemble k5, k6 and Omega0..Omega2 for the general-moduli chain.
 
     soz and si must be computed at the same log x0.  The k5/k6 branch keys
-    on the sign of k2; ties take the nonnegative branch.
+    on the sign of k2; ties take the nonnegative branch.  In either branch
+    k5 also covers q >= 10^30: it dominates that regime's constant
+    0.593 llx lx/sx + k1 + max(k2, 0) + 0.000278 + 2/sx + 1/x.
     """
     if abs(soz.log_x0 - log_x0) > 1e-12 or abs(si.log_x0 - log_x0) > 1e-12:
         raise ValidationError("soz and si records must be computed at the same log x0")
@@ -520,11 +526,7 @@ def twisted_psi_constants(log_x0: float, soz: SozConstants,
     lx = log_x0
     llx = math.log(lx)
     g2b = g2(int(1e30) - 1)
-    g2a = g2(int(1e30))
     k1, k2 = soz.k1, soz.k2
-    sigma1 = k1 + 1.0 / sx + 1.0 / x + g2b / (sx * lx)
-    sigma2 = 30.0 * k2 * math.log(10.0) if k2 >= 0 else k2 * math.log(q0)
-    sigma3 = 0.593 * llx * lx / sx + k1 + max(k2, 0.0) + 0.000278 + 2.0 / sx + 1.0 / x
     sigma4 = 0.593 * llx * lx / sx + k1 + max(k2, 0.0) + 0.0758 + 3.751 / sx + 1.0 / x \
         + 315.724 / (sx * lx)
     sigma5 = k1 + 0.000278 + 2.0 / sx + 1.0 / x + max(g2b, 0.593 * llx * lx * lx) / (sx * lx)
@@ -533,8 +535,7 @@ def twisted_psi_constants(log_x0: float, soz: SozConstants,
     else:
         k5, k6 = sigma5, k2 * math.log(3.0)
     return TwistedPsiConstants(
-        log_x0=log_x0, g2_below=g2b, g2_above=g2a,
-        sigma1=sigma1, sigma2=sigma2, sigma3=sigma3, sigma4=sigma4, sigma5=sigma5,
+        log_x0=log_x0, g2_below=g2b, sigma4=sigma4, sigma5=sigma5,
         k5=k5, k6=k6,
         Omega0=si.k3 + k5,
         Omega1=k6 + (0.5 + 1.12 * lx) * lx / sx,

@@ -218,6 +218,18 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].startswith("10.00000,3.10557")
 
+    def test_kappa_search_needs_no_scipy(self):
+        # log x0 = 37.5 is off the reference grid, so the kappa search runs
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, pntap, pntap.cli as cli; "
+                "assert cli.main(['constants', '--which', 'all', '--log-x0', '37.5']) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestRendering:
     def test_fmt_cell(self):

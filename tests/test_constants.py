@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import pntap.cli as cli
 import pntap.constants as C
@@ -95,6 +94,31 @@ class TestShortInterval:
         anchored = C.short_interval_constants(10.0, res.kappa)
         assert anchored.k3 == pytest.approx(res.k3, abs=1e-12)
 
+    # k3 that a Nelder-Mead refinement returned on these off-grid rows,
+    # pinned so the compass search is held to it; 16 < log x0 < 30 is where
+    # the optimum sits on the ridge kappa0*kappa1 = KAPPA2_FLOOR
+    NELDER_MEAD_K3 = {
+        10.5: 1.7929784256811812, 12.3: 1.6022281517456043,
+        14.7: 1.4280467918190651, 16.0: 1.3567403050534157,
+        17.25: 1.2984083046060495, 18.9: 1.233491842165046,
+        19.5: 1.2127225567457924, 20.5: 1.1808736119538144,
+        22.0: 1.1385412378463404, 23.7: 1.0968169981314912,
+        25.24: 1.063763180198382, 27.5: 1.0220844045565296,
+        29.9: 0.9840090019864312, 33.3: 0.9331706170799301,
+        37.5: 0.8826922357325502, 45.1: 0.8170055434922984,
+        55.5: 0.757647843627896, 66.6: 0.7046304054377437,
+        85.0: 0.6409425173435431, 120.0: 0.5627424574413619,
+        175.0: 0.4900479937095443, 333.3: 0.3896699215419901,
+        444.4: 0.35247574050736985, 600.0: 0.3177473166794328,
+        700.0: 0.30136055096621867,
+    }
+
+    @pytest.mark.parametrize("lx0", sorted(NELDER_MEAD_K3))
+    def test_search_matches_nelder_mead(self, lx0):
+        res = C.optimize_kappa(lx0)
+        assert res.converged
+        assert res.k3 <= self.NELDER_MEAD_K3[lx0] * (1.0 + 1e-12)
+
     def test_kappa_for_prefers_reference(self):
         k = C.kappa_for(10.0)
         assert (k.kappa0, k.kappa1, k.kappa2) == C.REFERENCE_KAPPA[10.0]
@@ -168,6 +192,15 @@ class TestTwisted:
         soz, si, tp, _ = chain(150.0)  # k2 < 0
         assert tp.k6 == pytest.approx(soz.k2 * math.log(3.0), rel=1e-14)
         assert tp.k5 == tp.sigma5
+
+    @pytest.mark.parametrize("lx0", [lx for lx in C.LOG_X0_GRID if lx in C.REFERENCE_KAPPA])
+    def test_k5_covers_huge_moduli(self, lx0):
+        # the q >= 10^30 constant, from its formula, never exceeds k5
+        soz, _, tp, _ = chain(lx0)
+        sx = math.exp(0.5 * lx0)
+        sigma3 = 0.593 * math.log(lx0) * lx0 / sx + soz.k1 + max(soz.k2, 0.0) \
+            + 0.000278 + 2.0 / sx + 1.0 / math.exp(lx0)
+        assert sigma3 <= tp.k5
 
     def test_small_branch_sigma7(self):
         soz, si, tp, _ = chain(20.0, small=True)
@@ -359,13 +392,14 @@ class TestCaches:
         assert info.hits == len(keys) - len(set(keys)) > 0
 
     def test_kappa_search_runs_once_per_row(self, monkeypatch, capsys):
-        searches = []
+        k3_value = C.k3_value
+        calls = []
 
-        def counting_minimize(*args, **kwargs):
-            searches.append(args)
-            return minimize(*args, **kwargs)
+        def counting_k3_value(*args):
+            calls.append(args)
+            return k3_value(*args)
 
-        monkeypatch.setattr(C, "minimize", counting_minimize)
+        monkeypatch.setattr(C, "k3_value", counting_k3_value)
         C.optimize_kappa.cache_clear()
         argv = ["constants", "--which", "all", "--log-x0", "37.5"]
         for which in ("soz", "short-interval", "twisted", "ap"):
@@ -373,6 +407,9 @@ class TestCaches:
         assert cli.main(argv) == 0
         assert cli.main(argv + ["--small"]) == 0
         capsys.readouterr()
-        assert len(searches) == 1
+        via_cli = len(calls)
+        calls.clear()
+        C.optimize_kappa.__wrapped__(37.5)
+        assert via_cli == len(calls) > 0
         assert C.optimize_kappa.cache_info().misses == 1
         assert C.kappa_for(37.5) == C.optimize_kappa.__wrapped__(37.5).kappa
