@@ -2,8 +2,8 @@
 
 Segmented prime/von-Mangoldt sieving (numpy), prime-counting and Chebyshev
 functions restricted to residue classes, Dirichlet character tables built
-by CRT over prime-power components, and exact twisted sums.  Everything
-here is the oracle side: no estimates, only counts.
+from the generator logs of the prime-power blocks, and exact twisted sums.
+Everything here is the oracle side: no estimates, only counts.
 
 Every exact sum (ResidueCounter, residue_masses, lambda_sum_interval,
 psi1_plain and the functions built on them) runs through one kernel,
@@ -20,11 +20,14 @@ the group exponent); complex numbers only appear when a sum is finally
 evaluated, so long twisted sums do not accumulate phase drift.  All
 characters mod q share one (q, g) matrix of generator logs L, one column
 per generator of (Z/q)*; a character is a weight vector w over those
-generators, so its exponent table is one product (L @ w) mod e.
+generators, so its exponent table is one product (L @ w) mod e.  The
+characters are the rows of one exponent matrix E (phi(q) x g), and every
+attribute is an array expression over E and L: the Conrey index is the
+unit n whose row of L equals the exponents, the parity is read from
+L[q - 1] and the conductor is a product of one rule per prime-power block.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,7 +42,6 @@ DEFAULT_SEGMENT = 1 << 22
 # is exact in float64.  The base primes up to sqrt(x) then take a bool array
 # of about 95 MB; far larger x would ask numpy for an array it cannot hold.
 SIEVE_X_MAX = float(2 ** 53)
-TWO_PI_ = 2.0 * math.pi
 # The largest L for which _lambda_sums folds several moduli into one pass of
 # residues mod L.  ResidueCounter(range(3, 31)) at 1e7, 1e8 and 2e8 (2-vCPU
 # Xeon KVM guest, odd-only sieve) took 3.5 s with one pass per modulus and
@@ -392,42 +394,34 @@ def _primitive_root(pk: int, p: int) -> int:
         g += 1
 
 
-@dataclass(frozen=True, eq=False)
-class _Component:
-    """One prime-power block of (Z/q)*: its modulus and generator logs."""
+def _block_logs(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Generator logs of the block (Z/p^e)* and the generators' orders.
 
-    modulus: int
-    gens: tuple[int, ...]
-    orders: tuple[int, ...]
-    log_table: np.ndarray  # shape (modulus, len(gens)); -1 rows for non-units
-
-
-def _build_component(p: int, e: int) -> list[_Component]:
+    The table has p^e rows, -1 on non-units.  Odd p and p^e = 4 are cyclic
+    with one generator (a primitive root, 3 mod 4); 2^e with e >= 3 has the
+    pair {-1, 5} of orders 2 and 2^(e-2); mod 2 has none.
+    """
     pk = p ** e
-    if p == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            table = -np.ones((4, 1), dtype=np.int64)
-            table[1, 0] = 0
-            table[3, 0] = 1
-            return [_Component(4, (3,), (2,), table)]
-        half = 1 << (e - 2)
-        table = -np.ones((pk, 2), dtype=np.int64)
-        v = 1
-        for d in range(half):
-            table[v] = (0, d)
-            table[pk - v] = (1, d)
-            v = (v * 5) % pk
-        return [_Component(pk, (pk - 1, 5), (2, half), table)]
-    g = _primitive_root(pk, p)
-    s = (p - 1) * p ** (e - 1)
-    table = -np.ones((pk, 1), dtype=np.int64)
+    if pk == 2:
+        return np.empty((2, 0), dtype=np.int64), ()
+    if p == 2 and e >= 3:
+        g, s, orders = 5, pk >> 2, (2, pk >> 2)
+    else:
+        g = 3 if pk == 4 else _primitive_root(pk, p)
+        s = (p - 1) * p ** (e - 1)
+        orders = (s,)
+    powers = np.empty(s, dtype=np.int64)
     v = 1
     for d in range(s):
-        table[v, 0] = d
+        powers[d] = v
         v = (v * g) % pk
-    return [_Component(pk, (g,), (s,), table)]
+    table = -np.ones((pk, len(orders)), dtype=np.int64)
+    table[powers, -1] = np.arange(s)
+    if len(orders) == 2:
+        table[powers, 0] = 0
+        table[pk - powers, 0] = 1
+        table[pk - powers, 1] = np.arange(s)
+    return table, orders
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +445,7 @@ class DirichletCharacter:
     conductor: int
     _logs: np.ndarray = field(repr=False)     # (q, g) generator logs, shared
     _units: np.ndarray = field(repr=False)    # (q,) gcd(n, q) == 1, shared
-    _weights: np.ndarray = field(repr=False)  # (g,) exponents * (e // order)
+    _weights: np.ndarray = field(repr=False)  # (g,) exponents * (e // order), a row of W
     _roots: np.ndarray = field(repr=False)    # (e + 1,) exp(2 pi i j/e), 0 at e; shared
 
     def exponent_of(self, n: int) -> int | None:
@@ -462,10 +456,7 @@ class DirichletCharacter:
 
     def value(self, n: int) -> complex:
         j = self.exponent_of(n)
-        if j is None:
-            return 0j
-        return complex(math.cos(TWO_PI_ * j / self.group_exponent),
-                       math.sin(TWO_PI_ * j / self.group_exponent))
+        return complex(self._roots[self.group_exponent if j is None else j])
 
     def __call__(self, n: int) -> complex:
         return self.value(n)
@@ -480,115 +471,68 @@ class DirichletCharacter:
         return self._roots[self.exponent_table()]
 
 
-def _conductor(components, exponents) -> int:
-    cond = 1
-    pos = 0
-    for comp in components:
-        m = comp.modulus
-        p = prime_factors(m)[0][0]
-        if p == 2 and len(comp.orders) == 2:
-            c_sign, c_five = exponents[pos], exponents[pos + 1]
-            d5 = comp.orders[1] // math.gcd(comp.orders[1], c_five)
-            if d5 > 1:
-                cond *= 4 * d5
-            elif c_sign % 2 == 1:
-                cond *= 4
-            pos += 2
-            continue
-        c = exponents[pos]
-        s = comp.orders[0]
-        d = s // math.gcd(s, c)
-        if d > 1:
-            b = 1
-            while ((p - 1) * p ** (b - 1)) % d != 0:
-                b += 1
-            cond *= p ** b
-        pos += 1
-    return cond
-
-
-def _conrey_index(q, components, exponents) -> int:
-    if q == 1:
-        return 1
-    residues, moduli = [], []
-    pos = 0
-    for comp in components:
-        m = comp.modulus
-        if len(comp.gens) == 2:
-            c_sign, c_five = exponents[pos], exponents[pos + 1]
-            r = (pow(m - 1, c_sign, m) * pow(5, c_five, m)) % m
-            pos += 2
-        else:
-            r = pow(comp.gens[0], exponents[pos], m)
-            pos += 1
-        residues.append(r)
-        moduli.append(m)
-    # q may carry a bare factor 2 with trivial unit group
-    rem = q
-    for m in moduli:
-        rem //= m
-    if rem > 1:
-        residues.append(1)
-        moduli.append(rem)
-    x, mod = 0, 1
-    for r, m in zip(residues, moduli):
-        inv = pow(mod, -1, m)
-        x = x + mod * ((r - x) * inv % m)
-        mod *= m
-    return x % q
-
-
 @lru_cache(maxsize=64)
 def character_table(q: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(q) Dirichlet characters mod q, principal first.
+    """All phi(q) Dirichlet characters mod q, in Conrey-index order.
 
-    Built by CRT over prime-power components: odd blocks use a fixed
-    primitive root, the 2-power block uses the {-1, 5} generator pair.
+    The generator logs of the prime-power blocks (_block_logs) side by
+    side make L.  The Conrey index of a character is the unit n whose logs
+    L[n] equal its exponents, so in index order the exponent matrix E is
+    L restricted to the units, and the principal character (index 1)
+    comes first.  Every attribute is one array expression over E: the
+    parity is chi(-1), read from L[q - 1]; the conductor is a product over
+    the blocks.  A cyclic block mod p^a (odd p, and 4) on which chi has
+    order d contributes p^(1 + v_p(d)) when d > 1; a block mod 2^a with
+    a >= 3 contributes 4 d5 when chi has order d5 > 1 on the generator 5,
+    else 4 when the exponent of -1 is odd.
     """
     if q < 3:
         raise DomainError("character tables need q >= 3")
     if q > 10 ** 9:
         raise DomainError("modulus too large for the trial-division factorizer")
-    components: list[_Component] = []
-    for p, e in sorted(prime_factors(q)):
-        components.extend(_build_component(p, e))
-    orders_flat = tuple(s for comp in components for s in comp.orders)
-    group_exp = 1
-    for s in orders_flat:
-        group_exp = group_exp * s // math.gcd(group_exp, s)
-    comps = tuple(components)
+    blocks = [(p, p ** e, *_block_logs(p, e)) for p, e in sorted(prime_factors(q))]
+    orders = tuple(s for *_, block_orders in blocks for s in block_orders)
+    group_exp = math.lcm(*orders)
     # shared by every character, so read-only; with q <= 1e9 each of the g
     # terms of L @ w is below e**2 and the int64 product stays exact
     n = np.arange(q)
-    logs = np.concatenate([comp.log_table[n % comp.modulus] for comp in comps], axis=1)
+    logs = np.concatenate([table[n % pk] for _, pk, table, _ in blocks], axis=1)
     units = np.gcd(n, q) == 1
     roots = np.exp(2j * np.pi * np.arange(group_exp + 1) / group_exp)
     roots[group_exp] = 0.0
-    logs.flags.writeable = units.flags.writeable = roots.flags.writeable = False
-    scale = np.array([group_exp // s for s in orders_flat], dtype=np.int64)
 
-    chars = []
-    for exps in itertools.product(*map(range, orders_flat)):
-        cond = _conductor(comps, exps)
-        weights = np.array(exps, dtype=np.int64) * scale
-        chars.append(DirichletCharacter(
-            q=q,
-            index=_conrey_index(q, comps, exps),
-            exponents=exps,
-            group_exponent=group_exp,
-            parity=0 if int(logs[q - 1] @ weights) % group_exp == 0 else 1,
-            is_principal=all(c == 0 for c in exps),
-            is_primitive=(cond == q),
-            conductor=cond,
-            _logs=logs,
-            _units=units,
-            _weights=weights,
-            _roots=roots,
-        ))
-    chars.sort(key=lambda ch: (not ch.is_principal, ch.index))
+    # the character with Conrey index n has the exponents L[n], so in index
+    # order the exponent matrix E is the unit rows of L
+    index = np.flatnonzero(units)
+    exps = logs[index]
+    weights = exps * (group_exp // np.array(orders))
+    parity = (weights @ logs[q - 1]) % group_exp != 0
+    conductor = np.ones(len(index), dtype=np.int64)
+    col = 0
+    for p, pk, _, block_orders in blocks:
+        if len(block_orders) == 2:
+            half = block_orders[1]
+            d5 = half // np.gcd(exps[:, col + 1], half)
+            conductor *= np.where(d5 > 1, 4 * d5, np.where(exps[:, col] % 2 == 1, 4, 1))
+        elif block_orders:
+            d = block_orders[0] // np.gcd(exps[:, col], block_orders[0])
+            conductor *= np.where(d > 1, p * np.gcd(d, pk // p), 1)
+        col += len(block_orders)
+    principal = ~weights.any(axis=1)
+    for arr in (logs, units, roots, weights):
+        arr.flags.writeable = False
+
+    chars = tuple(
+        DirichletCharacter(
+            q=q, index=ix, exponents=tuple(ex), group_exponent=group_exp,
+            parity=int(par), is_principal=pri, is_primitive=cond == q, conductor=cond,
+            _logs=logs, _units=units, _weights=w, _roots=roots)
+        for ix, ex, par, pri, cond, w in zip(
+            index.tolist(), exps.tolist(), parity.tolist(), principal.tolist(),
+            conductor.tolist(), weights))
     if len(chars) != euler_phi(q):
         raise ValidationError("character construction lost characters")
-    return tuple(chars)
+    return chars
 
 
 def residue_masses(x: float, q: int, kind: str, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
@@ -605,6 +549,12 @@ def residue_masses(x: float, q: int, kind: str, segment: int = DEFAULT_SEGMENT) 
     return theta if kind == "theta" else psi
 
 
+def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:
+    """sum of values * mass, its real and imaginary parts each by math.fsum."""
+    return complex(math.fsum((values.real * mass).tolist()),
+                   math.fsum((values.imag * mass).tolist()))
+
+
 def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi",
                 segment: int = DEFAULT_SEGMENT) -> complex:
     """Exact twisted sum: sum of chi(n) Lambda(n) (optionally theta- or
@@ -615,11 +565,7 @@ def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi",
     """
     if x < 2:
         return 0j
-    mass = residue_masses(x, chi.q, kind, segment=segment)
-    values = chi.value_table()
-    re = math.fsum((values.real * mass).tolist())
-    im = math.fsum((values.imag * mass).tolist())
-    return complex(re, im)
+    return _exact_dot(chi.value_table(), residue_masses(x, chi.q, kind, segment=segment))
 
 
 def psi_from_characters(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> float:
@@ -628,11 +574,5 @@ def psi_from_characters(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT
         raise DomainError(f"gcd({a}, {q}) > 1")
     mass = residue_masses(x, q, "psi", segment=segment)
     chars = character_table(q)
-    parts = []
-    for chi in chars:
-        values = chi.value_table()
-        s = complex(math.fsum((values.real * mass).tolist()),
-                    math.fsum((values.imag * mass).tolist()))
-        parts.append(s * chi.value(a).conjugate())
-    total = math.fsum(p.real for p in parts) / len(chars)
-    return total
+    parts = [_exact_dot(chi.value_table(), mass) * chi.value(a).conjugate() for chi in chars]
+    return math.fsum(p.real for p in parts) / len(chars)

@@ -97,7 +97,7 @@ def cmd_constants(args) -> int:
         if fmt == "md":
             sections.append(f"### {title}\n\n{body}")
         else:
-            sections.append(body if fmt == "csv" else body)
+            sections.append(body)
 
     if which in ("soz", "all"):
         rows = []
@@ -176,8 +176,8 @@ def _load_zeros(args, kind="zeta"):
             f"missing zeros file (looked for {path!r}); expected format: {ZETA_FORMAT_HINT}"
         )
     label = None
-    if kind == "dirichlet" and args.q:
-        label = CharacterLabel(q=args.q, index=args.index or 1)
+    if kind == "dirichlet" and args.q is not None:
+        label = CharacterLabel(q=args.q, index=1 if args.index is None else args.index)
     return load_zero_table(path, kind=kind, label=label)
 
 

@@ -497,7 +497,6 @@ class TwistedPsiConstants:
     (log x/8pi + log q/2pi + Omega0) sqrt(x) log x + Omega1 sqrt(x) + Omega2."""
 
     log_x0: float
-    g2_below: float  # modulus constant in the q < 10^30 regime, at its cap
     sigma4: float
     sigma5: float
     k5: float
@@ -535,7 +534,7 @@ def twisted_psi_constants(log_x0: float, soz: SozConstants,
     else:
         k5, k6 = sigma5, k2 * math.log(3.0)
     return TwistedPsiConstants(
-        log_x0=log_x0, g2_below=g2b, sigma4=sigma4, sigma5=sigma5,
+        log_x0=log_x0, sigma4=sigma4, sigma5=sigma5,
         k5=k5, k6=k6,
         Omega0=si.k3 + k5,
         Omega1=k6 + (0.5 + 1.12 * lx) * lx / sx,

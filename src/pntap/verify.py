@@ -166,7 +166,10 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_psi1_explicit needs a zeta table")
-    t_trunc = min(t_trunc or 1e4, zeros.max_height)
+    if t_trunc is None:
+        t_trunc = min(1e4, zeros.max_height)
+    if not t_trunc > 0:
+        raise DomainError(f"truncation height must be > 0, got {t_trunc!r}")
     if zeros.max_height < t_trunc:
         raise CoverageError("zero table does not reach the truncation height")
     t0 = time.perf_counter()

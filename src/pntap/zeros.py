@@ -130,16 +130,14 @@ def load_zero_table(
             groups.setdefault((q, idx), []).append(gamma)
     if label is not None:
         key = (label.q, label.index)
-        if key not in groups:
-            groups[key] = []
-        chosen = groups[key]
+        chosen = groups.get(key, [])
     else:
         if len(groups) > 1:
             raise ValidationError(
                 f"file holds {len(groups)} character groups; pass a label to select one"
             )
         key, chosen = next(iter(groups.items())) if groups else ((0, 0), [])
-        if label is None and groups:
+        if groups:
             label = CharacterLabel(q=key[0], index=key[1])
     arr = np.array(chosen, dtype=np.float64)
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):

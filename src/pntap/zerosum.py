@@ -36,14 +36,12 @@ GAMMA_1 = 14.13472  # height of the first zeta zero (lower bound)
 class WeightSpec:
     """A weight function with its analytic derivative and shape flags.
 
-    domain_start is the left end of the interval on which the flags are
-    promised.  convex additionally asserts a continuous, nonnegative
-    second derivative there.
+    convex additionally asserts a continuous, nonnegative second
+    derivative.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    domain_start: float = 5.0 / 7.0
     non_increasing: bool = True
     nonneg: bool = True
     convex: bool = False

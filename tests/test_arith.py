@@ -389,9 +389,37 @@ class TestCharacters:
                     assert table[n % q] == chi.group_exponent
 
     def test_parity_matches_minus_one(self):
-        for q in (5, 7, 9, 12):
+        for q in (5, 7, 8, 9, 12, 16, 840, 1024):
             for chi in character_table(q):
                 assert chi.value(q - 1) == pytest.approx((-1.0) ** chi.parity)
+
+    @pytest.mark.parametrize("q", list(range(3, 201)) + [840, 997, 1001, 1024, 2310])
+    def test_conductor_is_least_inducing_divisor(self, q):
+        # chi is induced from d | q iff it is 1 on every unit n = 1 (mod d)
+        chars = character_table(q)
+        n = np.arange(q)
+        units = np.gcd(n, q) == 1
+        table = np.array([c.exponent_table() for c in chars])
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        induced = np.array([(table[:, units & (n % d == 1 % d)] == 0).all(axis=1)
+                            for d in divisors])
+        least = np.array(divisors)[induced.argmax(axis=0)]
+        assert [c.conductor for c in chars] == least.tolist()
+        assert [c.is_primitive for c in chars] == (least == q).tolist()
+
+    @pytest.mark.parametrize("q", list(range(3, 201)) + [840, 997, 1001, 1024, 2310])
+    def test_value_reads_value_table(self, q):
+        # every n in [-q, 2q) up to q = 200; for the large moduli the 10.5M
+        # probes would dominate the suite, so they take the edges and 96
+        # seeded n per character
+        ns = np.arange(-q, 2 * q)
+        if q > 200:
+            ns = np.concatenate(([-q, -1, 0, 1, q - 1, q, 2 * q - 1],
+                                 np.random.default_rng(q).integers(-q, 2 * q, size=96)))
+        ns = ns.tolist()
+        for chi in character_table(q):
+            got = np.array([chi.value(n) for n in ns])
+            assert np.array_equal(got, chi.value_table()[np.array(ns) % q])
 
     def test_conductors_q9(self):
         tab = character_table(9)

@@ -182,13 +182,32 @@ class TestVerifyCommand:
         ["ap", "--q", "3", "--a", "0", "--x-max", "1e6"],
         ["ap", "--q", "3", "--a", "1", "--x-max", "0"],
         ["short-interval", "--x-max", "0"],
+        ["psi1", "--zeros", str(ZEROS_FILE), "--x", "500", "--t-trunc", "0"],
     ], ids=["si-log-x0", "ap-log-x0", "gm-log-x0", "ap-q", "gm-q", "ap-a",
-            "ap-x-max", "si-x-max"])
+            "ap-x-max", "si-x-max", "psi1-t-trunc"])
     def test_explicit_zero_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_psi1_t_trunc_above_table_is_coverage_error(self, capsys):
+        # the table ends at 10049.9; the sum was once clipped there silently
+        code, out, err = run(capsys, "verify", "psi1", "--zeros", str(ZEROS_FILE),
+                             "--x", "500", "--t-trunc", "1e6")
+        assert code == 2
+        assert out == ""
+        assert "does not reach the truncation height" in err
+
+    def test_lehman_index_zero_is_error(self, capsys, tmp_path):
+        # --index 0 once selected the character with index 1
+        table = tmp_path / "dirichlet.csv"
+        table.write_text("q,index,gamma\n5,1,6.6485\n5,1,9.8314\n5,1,11.9588\n")
+        code, out, err = run(capsys, "verify", "lehman", "--zeros", str(table),
+                             "--q", "5", "--index", "0")
+        assert code == 2
+        assert out == ""
+        assert "not coprime" in err
 
     def test_ap_suite_small_defaults_above_threshold(self, capsys):
         code, out, _ = run(capsys, "verify", "ap", "--small", "--q", "5",
