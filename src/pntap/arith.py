@@ -338,17 +338,17 @@ def ap_counts(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> APCou
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 
 
-def psi_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
+def psi_plain(x: float) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) for n <= x."""
     if x < 2:
         return 0.0
-    return float(residue_masses(x, 1, "psi", segment=segment)[0])
+    return float(residue_masses(x, 1, "psi")[0])
 
 
-def theta_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
+def theta_plain(x: float) -> float:
     if x < 2:
         return 0.0
-    return float(residue_masses(x, 1, "theta", segment=segment)[0])
+    return float(residue_masses(x, 1, "theta")[0])
 
 
 def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> float:
@@ -369,11 +369,11 @@ def short_interval_psi_delta(x: float, segment: int = DEFAULT_SEGMENT) -> float:
     return lambda_sum_interval(x, x + h, segment=segment) - h
 
 
-def psi1_plain(x: float, segment: int = DEFAULT_SEGMENT) -> float:
+def psi1_plain(x: float) -> float:
     """Linearly weighted Chebyshev function: sum of Lambda(n)(x - n), n <= x."""
     if x < 2:
         raise DomainError("requires x >= 2")
-    return float(residue_masses(x, 1, "psi1", segment=segment)[0])
+    return float(residue_masses(x, 1, "psi1")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,7 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     return chars
 
 
-def residue_masses(x: float, q: int, kind: str, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def residue_masses(x: float, q: int, kind: str) -> np.ndarray:
     """Per-residue mass vector: Lambda(n) (psi), log p on primes (theta),
     or Lambda(n)(x - n) (psi1), summed over n <= x in each class mod q."""
     if kind not in ("psi", "theta", "psi1"):
@@ -543,8 +543,7 @@ def residue_masses(x: float, q: int, kind: str, segment: int = DEFAULT_SEGMENT) 
     n_max = _floor_int(x)
     if n_max < 2:
         return np.zeros(q)
-    (snap,) = _lambda_sums(2, [n_max], [q], x=x if kind == "psi1" else None,
-                           segment=segment)
+    (snap,) = _lambda_sums(2, [n_max], [q], x=x if kind == "psi1" else None)
     _, theta, psi = snap[q]
     return theta if kind == "theta" else psi
 
@@ -555,8 +554,7 @@ def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:
                    math.fsum((values.imag * mass).tolist()))
 
 
-def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi",
-                segment: int = DEFAULT_SEGMENT) -> complex:
+def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi") -> complex:
     """Exact twisted sum: sum of chi(n) Lambda(n) (optionally theta- or
     psi1-weighted) over n <= x.  Empty for x < 2.
 
@@ -565,14 +563,14 @@ def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi",
     """
     if x < 2:
         return 0j
-    return _exact_dot(chi.value_table(), residue_masses(x, chi.q, kind, segment=segment))
+    return _exact_dot(chi.value_table(), residue_masses(x, chi.q, kind))
 
 
-def psi_from_characters(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> float:
+def psi_from_characters(x: float, q: int, a: int) -> float:
     """Reconstruct psi(x; q, a) from twisted sums by orthogonality."""
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1")
-    mass = residue_masses(x, q, "psi", segment=segment)
+    mass = residue_masses(x, q, "psi")
     chars = character_table(q)
     parts = [_exact_dot(chi.value_table(), mass) * chi.value(a).conjugate() for chi in chars]
     return math.fsum(p.real for p in parts) / len(chars)

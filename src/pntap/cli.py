@@ -4,9 +4,9 @@ Subcommands
 -----------
 constants  render the constants tables (soz, short-interval, twisted, ap, all)
 verify     run a verification suite; exit 0 only with zero violations
+           (verify gm: pi-bound vs the cyclotomic baseline)
 count      exact pi/theta/psi at (x; q, a)
 bound      evaluate one bound's right-hand side
-compare-gm pi-bound vs the cyclotomic baseline
 
 Exit codes: 0 success, 1 verification violations, 2 usage or domain errors.
 """
@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import constants as C
-from .arith import ap_counts
+from .arith import DEFAULT_SEGMENT, ap_counts
 from .errors import DomainError, PntapError
 from .verify import (compare_gm_baseline, verify_ap_bounds, verify_bpt,
                      verify_lehman, verify_psi1_explicit,
@@ -50,8 +50,10 @@ def render_table(header: list[str], rows: list[list], fmt: str) -> str:
         lines += [",".join(row) for row in cells]
         return "\n".join(lines)
     if fmt == "json":
-        return json.dumps([dict(zip(header, [None if c == "" else (c if not _is_num(c) else float(c)) for c in row]))
-                           for row in cells], indent=2)
+        # numbers as printed (5 decimals); strings and None as they are
+        return json.dumps([dict(zip(header, [v if v is None or isinstance(v, str) else float(c)
+                                             for v, c in zip(row, row_cells)]))
+                           for row, row_cells in zip(rows, cells)], indent=2)
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(header)]
     out = ["| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |",
@@ -61,15 +63,7 @@ def render_table(header: list[str], rows: list[list], fmt: str) -> str:
     return "\n".join(out)
 
 
-def _is_num(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-def _chain(log_x0: float, small: bool, self_consistent: bool = False):
+def _chain(log_x0: float, small: bool, self_consistent: bool):
     """Build the full constants chain at one log x0."""
     kappa = C.kappa_for(log_x0)
     si = C.short_interval_constants(log_x0, kappa)
@@ -85,79 +79,63 @@ def _chain(log_x0: float, small: bool, self_consistent: bool = False):
     return soz, kappa, si, tp, ap
 
 
+def _soz_row(lx: float) -> list:
+    """k1 and k2, with the small-moduli k1~ and k2~ where log x0 allows them."""
+    if lx >= C.SMALL_LOG_X0_MIN:
+        s = C.soz_constants_small(lx)
+        return [s.k1, s.k1_t, s.k2, s.k2_t]
+    s = C.soz_constants(lx)
+    return [s.k1, None, s.k2, None]
+
+
+def _short_interval_row(lx: float) -> list:
+    kappa = C.kappa_for(lx)
+    si = C.short_interval_constants(lx, kappa)
+    return [kappa.kappa0, kappa.kappa1, kappa.kappa2, si.k3, si.k4]
+
+
+# --which choice -> (title, columns after log_x0, row at one log x0, whether
+# the row reads the whole chain (soz, kappa, si, tp, ap) rather than log x0)
+_SECTIONS = {
+    "soz": ("zero-sum constants", ["k1", "k1_small", "k2", "k2_small"], _soz_row, False),
+    "short-interval": ("short-interval constants", ["kappa0", "kappa1", "kappa2", "k3", "k4"],
+                       _short_interval_row, False),
+    "twisted": ("twisted-psi constants", ["k5", "k6", "Omega0", "Omega1", "Omega2"],
+                lambda soz, kappa, si, tp, ap: [tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2],
+                True),
+    "ap": ("progression constants", ["a1", "a2", "a3", "a4", "a5", "a6"],
+           lambda soz, kappa, si, tp, ap: list(ap.a), True),
+}
+
+
 def cmd_constants(args) -> int:
-    which = args.which
-    fmt = args.format
-    x0s = args.log_x0 if args.log_x0 else list(C.LOG_X0_GRID)
     sections = []
     had_error = False
-
-    def emit(title, header, rows):
-        body = render_table(header, rows, fmt)
-        if fmt == "md":
-            sections.append(f"### {title}\n\n{body}")
+    for which, (title, header, row, whole_chain) in _SECTIONS.items():
+        if args.which not in (which, "all"):
+            continue
+        # the default grid: soz on LOG_X0_GRID, the rest on the kappa rows,
+        # the small-moduli chain from SMALL_LOG_X0_MIN up
+        if args.log_x0:
+            x0s = args.log_x0
+        elif which == "soz":
+            x0s = C.LOG_X0_GRID
         else:
-            sections.append(body)
-
-    if which in ("soz", "all"):
+            x0s = [lx for lx in C.REFERENCE_KAPPA
+                   if not (whole_chain and args.small and lx < C.SMALL_LOG_X0_MIN)]
         rows = []
         for lx in x0s:
             try:
-                if lx >= C.SMALL_LOG_X0_MIN:
-                    s = C.soz_constants_small(lx)
-                    rows.append([lx, s.k1, s.k1_t, s.k2, s.k2_t])
-                else:
-                    s = C.soz_constants(lx)
-                    rows.append([lx, s.k1, None, s.k2, None])
+                values = (row(*_chain(lx, args.small, args.self_consistent)) if whole_chain
+                          else row(lx))
             except PntapError as exc:
-                rows.append([lx, f"error: {exc}", None, None, None])
+                values = [f"error: {exc}"] + [None] * (len(header) - 1)
                 had_error = True
-        emit("zero-sum constants", ["log_x0", "k1", "k1_small", "k2", "k2_small"], rows)
-
-    if which in ("short-interval", "all"):
-        rows = []
-        for lx in x0s:
-            if lx not in C.REFERENCE_KAPPA and lx == C.SMALL_LOG_X0_MIN and not args.log_x0:
-                continue  # default grid: kappa rows only exist on the round grid
-            try:
-                kappa = C.kappa_for(lx)
-                si = C.short_interval_constants(lx, kappa)
-                rows.append([lx, kappa.kappa0, kappa.kappa1, kappa.kappa2, si.k3, si.k4])
-            except PntapError as exc:
-                rows.append([lx, f"error: {exc}", None, None, None, None])
-                had_error = True
-        emit("short-interval constants",
-             ["log_x0", "kappa0", "kappa1", "kappa2", "k3", "k4"], rows)
-
-    if which in ("twisted", "all"):
-        rows = []
-        for lx in x0s:
-            if not args.log_x0 and (lx == C.SMALL_LOG_X0_MIN
-                                    or (args.small and lx < 20.0)):
-                continue
-            try:
-                _, _, _, tp, _ = _chain(lx, args.small, args.self_consistent)
-                rows.append([lx, tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2])
-            except PntapError as exc:
-                rows.append([lx, f"error: {exc}", None, None, None, None])
-                had_error = True
-        title = "twisted-psi constants" + (" (small moduli)" if args.small else "")
-        emit(title, ["log_x0", "k5", "k6", "Omega0", "Omega1", "Omega2"], rows)
-
-    if which in ("ap", "all"):
-        rows = []
-        for lx in x0s:
-            if not args.log_x0 and (lx == C.SMALL_LOG_X0_MIN
-                                    or (args.small and lx < 20.0)):
-                continue
-            try:
-                _, _, _, _, ap = _chain(lx, args.small, args.self_consistent)
-                rows.append([lx, *ap.a])
-            except PntapError as exc:
-                rows.append([lx, f"error: {exc}", None, None, None, None, None])
-                had_error = True
-        title = "progression constants" + (" (small moduli)" if args.small else "")
-        emit(title, ["log_x0", "a1", "a2", "a3", "a4", "a5", "a6"], rows)
+            rows.append([lx, *values])
+        if whole_chain and args.small:
+            title += " (small moduli)"
+        body = render_table(["log_x0", *header], rows, args.format)
+        sections.append(f"### {title}\n\n{body}" if args.format == "md" else body)
 
     text = "\n\n".join(sections)
     if args.out:
@@ -294,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--t-trunc", type=float)
     pv.add_argument("--log-x0", type=float)
     pv.add_argument("--small", action="store_true")
-    pv.add_argument("--segment", type=int, default=1 << 22)
+    pv.add_argument("--segment", type=int, default=DEFAULT_SEGMENT)
     pv.add_argument("--format", choices=["md", "json"], default="md")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
@@ -303,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--x", type=float, required=True)
     pn.add_argument("--q", type=int, required=True)
     pn.add_argument("--a", type=int, required=True)
-    pn.add_argument("--segment", type=int, default=1 << 22)
+    pn.add_argument("--segment", type=int, default=DEFAULT_SEGMENT)
     pn.set_defaults(func=cmd_count)
 
     pb = sub.add_parser("bound", help="evaluate one bound right-hand side")

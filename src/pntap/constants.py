@@ -46,15 +46,13 @@ import mpmath as mp
 from .arith import prime_factors
 from .errors import DomainError, ValidationError
 from .quadrature import exp_integral_ei
-from .zerosum import count_remainder_R
+from .zerosum import GAMMA_1, count_remainder_R
 from .zeros import OMEGA_DEFAULT
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
-GAMMA_1 = 14.13472
 KAPPA2_FLOOR = 1.74663
-SMALL_X0_MIN = 1.05e7
 SMALL_LOG_X0_MIN = math.log(1.05e7)
 # the largest log x0 whose x0 = exp(log x0) is still a finite float
 LOG_X0_MAX = math.log(sys.float_info.max)
@@ -189,16 +187,27 @@ def _soz_pieces(log_x0: float):
     return eta, sx, nu3, nu4, fac12, fac32, f1, f2, f3
 
 
+def _nu_pair(lower: float, eta: float, log_term: float) -> tuple[float, float]:
+    """nu1 and nu2 of the zero sum over lower <= t <= eta.
+
+    log_term is the logarithm in the boundary term 2 (0.247 log_term +
+    6.894) w0 at t = lower; each chain passes its own, as the reference
+    tables were built.
+    """
+    w0 = 1.0 / math.sqrt(0.25 + lower * lower)
+    nu1 = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
+    nu2 = _reference_quad("logt", lower, eta) / PI \
+        + 2.0 * (0.247 * log_term + 6.894) * w0 \
+        + 0.247 * _reference_quad("over_t", lower, eta)
+    return nu1, nu2
+
+
 def soz_constants(log_x0: float) -> SozConstants:
     """Zero-sum constants k1(x0), k2(x0) for general moduli, log x0 >= 10."""
     _require_log_x0(log_x0)
     eta, sx, nu3, nu4, fac12, fac32, f1, f2, f3 = _soz_pieces(log_x0)
     lower = 5.0 / 7.0
-    w0 = 1.0 / math.sqrt(0.25 + lower * lower)
-    nu1 = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
-    nu2 = _reference_quad("logt", lower, eta) / PI \
-        + 2.0 * (0.247 * math.log(lower / TWO_PI) + 6.894) * w0 \
-        + 0.247 * _reference_quad("over_t", lower, eta)
+    nu1, nu2 = _nu_pair(lower, eta, math.log(lower / TWO_PI))
     f4 = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1 + nu3 + 0.94873
     f5 = (nu2 + nu4 + 11.27041) * fac12 - 0.5334
     return SozConstants(
@@ -222,17 +231,8 @@ def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConst
     if omega <= 0:
         raise DomainError("omega must be positive")
     base = soz_constants(log_x0)
-    eta = splitting_height(log_x0)
-    sx = math.exp(0.5 * log_x0)
-    lower = 200.0
-    w0 = 1.0 / math.sqrt(0.25 + lower * lower)
-    nu1_t = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
-    nu2_t = _reference_quad("logt", lower, eta) / PI \
-        + 2.0 * (0.247 * math.log(1.0 / (400.0 * PI)) + 6.894) * w0 \
-        + 0.247 * _reference_quad("over_t", lower, eta)
-    e = log_x0 / sx
-    fac12 = math.sqrt(1.0 + e)
-    fac32 = (1.0 + e) ** 1.5 + 1.0
+    eta, sx, _, _, fac12, fac32, *_ = _soz_pieces(log_x0)
+    nu1_t, nu2_t = _nu_pair(200.0, eta, math.log(1.0 / (400.0 * PI)))
     f4_t = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1_t + base.nu3
     f5_t = (omega + nu2_t + base.nu4) * fac12 - 0.5334
     return replace(

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ResidueCounter, euler_phi, psi1_plain, short_interval_psi_delta
+from .arith import DEFAULT_SEGMENT, ResidueCounter, euler_phi, psi1_plain, \
+    short_interval_psi_delta
 from .constants import APConstants, ShortIntervalConstants, evaluate_bounds, \
     gm_baseline_pi_bound
 from .errors import CoverageError, DomainError
@@ -107,29 +108,26 @@ def _canonical_weights() -> list[WeightSpec]:
     return [weight_inverse(), weight_inverse_square(), weight_quarter_sqrt()]
 
 
-def verify_bpt(zeros: ZeroTable, phi_set: Optional[Sequence[WeightSpec]] = None,
-               ranges: Optional[Sequence[tuple[float, float]]] = None,
-               n_ranges: int = 50, seed: int = DEFAULT_SEED) -> BoundReport:
+def verify_bpt(zeros: ZeroTable, n_ranges: int = 50) -> BoundReport:
     """Check the second-order zero-sum estimate against exact sums.
 
-    For each weight and range (U, V): lhs = |exact - main term|, rhs = the
-    certified budget.  Ranges default to n_ranges seeded draws inside
+    For each canonical weight (1/t, 1/t^2, (1/4+t^2)^(-1/2)) and range
+    (U, V): lhs = |exact - main term|, rhs = the certified budget.  The
+    n_ranges ranges are drawn from DEFAULT_SEED inside
     [2 pi, min(1000, table height)].
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_bpt needs a zeta table")
     t0 = time.perf_counter()
     report = BoundReport("bpt_zero_sum")
-    if ranges is None:
-        top = min(1000.0, zeros.max_height)
-        if top <= TWO_PI:
-            raise CoverageError("table too short for randomized ranges")
-        rng = np.random.default_rng(seed)
-        pairs = np.sort(rng.uniform(TWO_PI, top, size=(n_ranges, 2)), axis=1)
-        ranges = [tuple(p) for p in pairs]
-    for phi in phi_set or _canonical_weights():
-        for U, V in ranges:
-            exact = exact_weighted_sum(zeros, phi.value, U, V, endpoint_half_weight=True)
+    top = min(1000.0, zeros.max_height)
+    if top <= TWO_PI:
+        raise CoverageError("table too short for randomized ranges")
+    rng = np.random.default_rng(DEFAULT_SEED)
+    pairs = np.sort(rng.uniform(TWO_PI, top, size=(n_ranges, 2)), axis=1)
+    for phi in _canonical_weights():
+        for U, V in pairs:
+            exact = exact_weighted_sum(zeros, phi.value, U, V)
             est = bpt_sum(phi, U, V)
             report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,
                        what=f"{phi.name} on [{U:.2f},{V:.2f}]")
@@ -137,15 +135,17 @@ def verify_bpt(zeros: ZeroTable, phi_set: Optional[Sequence[WeightSpec]] = None,
     return report
 
 
-def verify_zero_count(zeros: ZeroTable, n_grid: int = 200,
-                      t_max: Optional[float] = None) -> BoundReport:
-    """Check |N(T) - smooth term - 7/8| <= counting remainder on a T-grid."""
+def verify_zero_count(zeros: ZeroTable) -> BoundReport:
+    """Check |N(T) - smooth term - 7/8| <= counting remainder on a T-grid.
+
+    The grid holds 200 evenly spaced heights from 2 pi + 0.1 to the
+    table's max_height.
+    """
     if zeros.kind != "zeta":
         raise DomainError("verify_zero_count needs a zeta table")
     t0 = time.perf_counter()
     report = BoundReport("zero_count_remainder")
-    top = min(t_max or zeros.max_height, zeros.max_height)
-    grid = np.linspace(TWO_PI + 0.1, top, n_grid)
+    grid = np.linspace(TWO_PI + 0.1, zeros.max_height, 200)
     ords = zeros.ordinates
     for T in grid:
         n_data = int(np.searchsorted(ords, T, side="right"))
@@ -190,7 +190,7 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
 
 
 def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
-                          segment: int = 1 << 22) -> BoundReport:
+                          segment: int = DEFAULT_SEGMENT) -> BoundReport:
     """Check |psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x| against its
     bound; samples with non-positive right side are skipped, not failed."""
     t0 = time.perf_counter()
@@ -207,7 +207,7 @@ def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
 
 
 def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
-                     segment: int = 1 << 22) -> BoundReport:
+                     segment: int = DEFAULT_SEGMENT) -> BoundReport:
     """Check the three progression inequalities (pi, theta, psi) at each x.
 
     One sieve pass serves all xs; right-hand sides come from
@@ -237,8 +237,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
     return report
 
 
-def verify_lehman(zeros: ZeroTable, n_ranges: int = 25,
-                  seed: int = DEFAULT_SEED) -> BoundReport:
+def verify_lehman(zeros: ZeroTable, n_ranges: int = 25) -> BoundReport:
     """Check the first-order Dirichlet zero-sum upper bound against exact
     sums from a Dirichlet zero table (runs only when such data exists)."""
     if zeros.kind != "dirichlet" or zeros.label is None:
@@ -249,7 +248,7 @@ def verify_lehman(zeros: ZeroTable, n_ranges: int = 25,
     top = zeros.max_height
     if top <= 1.0:
         raise CoverageError("table too short")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     pairs = np.sort(rng.uniform(5.0 / 7.0, top, size=(n_ranges, 2)), axis=1)
     for phi in _canonical_weights():
         for U, V in pairs:

@@ -42,13 +42,12 @@ class CharacterLabel:
 
 @dataclass(frozen=True, eq=False)
 class ZeroTable:
-    """Ascending positive zero ordinates with provenance metadata."""
+    """Ascending positive zero ordinates; a Dirichlet table carries its label."""
 
     kind: str  # "zeta" | "dirichlet"
     ordinates: np.ndarray
     max_height: float
     label: Optional[CharacterLabel] = None
-    source: str = ""
 
     def __post_init__(self):
         if self.kind not in ("zeta", "dirichlet"):
@@ -72,7 +71,6 @@ def load_zero_table(
     path,
     kind: str = "zeta",
     label: Optional[CharacterLabel] = None,
-    source: str = "",
 ) -> ZeroTable:
     """Load and validate a zero table from disk.
 
@@ -102,7 +100,6 @@ def load_zero_table(
             kind="zeta",
             ordinates=arr,
             max_height=float(arr[-1]) if arr.size else 0.0,
-            source=source or str(path),
         )
 
     if kind != "dirichlet":
@@ -147,16 +144,15 @@ def load_zero_table(
         ordinates=arr,
         max_height=float(arr[-1]) if arr.size else 0.0,
         label=label,
-        source=source or str(path),
     )
 
 
-def dump_zero_table(table: ZeroTable, path, decimals: int = 10) -> None:
-    """Serialize a table back to its file format at the declared precision."""
+def dump_zero_table(table: ZeroTable, path) -> None:
+    """Serialize a table back to its file format, 10 decimals per ordinate."""
     if table.kind == "zeta":
         with open(path, "w") as fh:
             for g in table.ordinates:
-                fh.write(f"{g:.{decimals}f}\n")
+                fh.write(f"{g:.10f}\n")
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -164,7 +160,7 @@ def dump_zero_table(table: ZeroTable, path, decimals: int = 10) -> None:
         q = table.label.q if table.label else 0
         idx = table.label.index if table.label else 0
         for g in table.ordinates:
-            writer.writerow([q, idx, f"{g:.{decimals}f}"])
+            writer.writerow([q, idx, f"{g:.10f}"])
 
 
 def exact_weighted_sum(
@@ -172,11 +168,10 @@ def exact_weighted_sum(
     phi: Callable[[float], float],
     U: float,
     V: float,
-    endpoint_half_weight: bool = True,
 ) -> float:
     """Sum phi over the table's ordinates in [U, V].
 
-    Endpoint hits are weighted 1/2 when the flag is set.  Dirichlet tables
+    An ordinate equal to U or V is weighted 1/2.  Dirichlet tables
     double each term (stored positive ordinates stand for conjugate pairs).
     Raises CoverageError when V exceeds the table's certified height.
     """
@@ -193,9 +188,8 @@ def exact_weighted_sum(
     if sel.size == 0:
         return 0.0
     weights = np.ones(sel.size)
-    if endpoint_half_weight:
-        weights[sel == U] = 0.5
-        weights[sel == V] = 0.5
+    weights[sel == U] = 0.5
+    weights[sel == V] = 0.5
     total = math.fsum(w * phi(g) for w, g in zip(weights, sel))
     if table.kind == "dirichlet":
         total *= 2.0

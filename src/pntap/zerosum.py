@@ -119,7 +119,7 @@ def zeta_count_main(T: float) -> float:
     return T / TWO_PI * math.log(T / (TWO_PI * math.e))
 
 
-def bpt_sum(phi: WeightSpec, U: float, V: float, tol: float = 1e-12) -> SumEstimate:
+def bpt_sum(phi: WeightSpec, U: float, V: float) -> SumEstimate:
     """Estimate the half-weighted sum of phi over zeta ordinates in [U, V].
 
     main_term = (1/2pi) * integral of phi(t) log(t/2pi) over [U, V];
@@ -136,7 +136,7 @@ def bpt_sum(phi: WeightSpec, U: float, V: float, tol: float = 1e-12) -> SumEstim
     if U == V:
         main = 0.0
     else:
-        main = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V, tol=tol).value / TWO_PI
+        main = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V).value / TWO_PI
     boundary = phi(V) * count_remainder_R(V) + phi(U) * count_remainder_R(U)
     second_order = 2.0 * (A0 + A1 * math.log(U)) * abs(phi.derivative(U)) + (A1 + A2) * phi(U) / U
     return SumEstimate(main_term=main, boundary_terms=boundary,
@@ -166,8 +166,7 @@ def low_count_twice_bound(q: int) -> float:
     return 0.94873 * math.log(q) + 11.27041
 
 
-def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int,
-                     tol: float = 1e-12) -> float:
+def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int) -> float:
     """Upper bound for the sum of phi over Dirichlet ordinates |gamma| in [U, V].
 
     (log q/pi) int phi + (1/pi) int phi log(t/2pi)
@@ -200,9 +199,9 @@ def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int,
     if U == V:
         i0 = i1 = i2 = 0.0
     else:
-        i0 = integrate(phi.value, U, V, tol=tol).value
-        i1 = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V, tol=tol).value
-        i2 = integrate(lambda t: phi(t) / t, U, V, tol=tol).value
+        i0 = integrate(phi.value, U, V).value
+        i1 = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V).value
+        i2 = integrate(lambda t: phi(t) / t, U, V).value
     return (math.log(q) / math.pi) * i0 + i1 / math.pi \
         + 2.0 * phi(U) * (0.247 * math.log(q * U / TWO_PI) + 6.894) + 0.247 * i2
 

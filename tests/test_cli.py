@@ -226,6 +226,44 @@ class TestSmallDefaultGrid:
         assert rows[0].startswith("20.00000")
 
 
+class TestAllSections:
+    KAPPA_ROWS = [f"{v:.5f}" for v in (10, 20, 30, 40, 50, 60, 70, 80, 90, 100,
+                                        150, 200, 250, 500)]
+    SOZ_ROWS = KAPPA_ROWS[:1] + [f"{math.log(1.05e7):.5f}"] + KAPPA_ROWS[1:]
+
+    @pytest.mark.parametrize("small", [False, True], ids=["general", "small"])
+    def test_default_grid_of_each_section(self, capsys, small):
+        code, out, _ = run(capsys, "constants", "--which", "all", "--format", "csv",
+                           *(["--small"] if small else []))
+        assert code == 0
+        columns = [[line.split(",")[0] for line in section.splitlines()[1:]]
+                   for section in out.strip().split("\n\n")]
+        chain_rows = self.KAPPA_ROWS[1:] if small else self.KAPPA_ROWS
+        assert columns == [self.SOZ_ROWS, self.KAPPA_ROWS, chain_rows, chain_rows]
+
+    def test_small_chain_below_its_threshold(self, capsys):
+        # log x0 = 15 < log(1.05e7): soz and kappa rows exist, the small chain does not
+        code, out, _ = run(capsys, "constants", "--which", "all", "--small",
+                           "--log-x0", "15", "--format", "csv")
+        assert code == 2
+        firsts = [section.splitlines()[1].split(",")[:2]
+                  for section in out.strip().split("\n\n")]
+        assert [lx for lx, _ in firsts] == ["15.00000"] * 4
+        for _, cell in firsts[:2]:
+            assert math.isfinite(float(cell))
+        for _, cell in firsts[2:]:
+            assert cell.startswith("error:")
+
+        code, out, _ = run(capsys, "constants", "--which", "all", "--small",
+                           "--log-x0", "15", "--format", "json")
+        assert code == 2
+        soz, si, tp, ap = ([json.loads(section)[0] for section in out.strip().split("\n\n")])
+        assert isinstance(soz["k1"], float) and soz["k1_small"] is None
+        assert all(isinstance(v, float) for v in si.values())
+        assert tp["k5"].startswith("error:") and tp["k6"] is None
+        assert ap["a1"].startswith("error:") and ap["a6"] is None
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         src = Path(__file__).resolve().parents[1] / "src"

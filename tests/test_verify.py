@@ -76,7 +76,7 @@ class TestBptSuite:
 
 class TestZeroCountSuite:
     def test_grid_passes(self, zeta_table):
-        report = verify_zero_count(zeta_table, n_grid=200)
+        report = verify_zero_count(zeta_table)
         assert report.passed
         assert len(report.samples) == 200
 

@@ -46,7 +46,7 @@ class TestLoading:
         src = write(tmp_path, "".join(f"{v:.10f}\n" for v in KNOWN_FIRST_ZEROS))
         t = load_zero_table(src)
         out = tmp_path / "copy.txt"
-        dump_zero_table(t, out, decimals=10)
+        dump_zero_table(t, out)
         assert out.read_text() == src.read_text()
 
     def test_bundled_file_matches_literature(self, zeta_table):
@@ -77,8 +77,8 @@ class TestDirichletLoading:
     def test_pair_doubling(self, tmp_path):
         p = write(tmp_path, "q,index,gamma\n7,3,2.5\n7,3,4.25\n", "d.csv")
         t = load_zero_table(p, kind="dirichlet")
-        assert exact_weighted_sum(t, lambda g: 1.0, 0.0, 4.25,
-                                  endpoint_half_weight=False) == 4.0
+        # the zero at V = 4.25 is an endpoint hit, so the pair weighs 2 x 1/2
+        assert exact_weighted_sum(t, lambda g: 1.0, 0.0, 4.25) == 3.0
 
 
 class TestWeightedSums:
@@ -94,11 +94,7 @@ class TestWeightedSums:
 
     def test_endpoint_half_weight(self, zeta_table_small):
         g1 = float(zeta_table_small.ordinates[0])
-        full = exact_weighted_sum(zeta_table_small, lambda t: 1.0, g1, g1,
-                                  endpoint_half_weight=False)
-        half = exact_weighted_sum(zeta_table_small, lambda t: 1.0, g1, g1,
-                                  endpoint_half_weight=True)
-        assert full == 1.0
+        half = exact_weighted_sum(zeta_table_small, lambda t: 1.0, g1, g1)
         # an exact endpoint hit carries weight 1/2
         assert half == pytest.approx(0.5)
 
