@@ -11,8 +11,8 @@ from .arith import (APCounts, DirichletCharacter, ap_counts, character_table,
 from .constants import (APConstants, KappaParams, LOG_X0_GRID,
                         REFERENCE_KAPPA, ShortIntervalConstants, SozConstants,
                         TwistedPsiConstants, ap_constants, ap_constants_small,
-                        evaluate_bounds, g2, gm_baseline_pi_bound, kappa_for,
-                        optimize_kappa, short_interval_constants,
+                        chain, evaluate_bounds, g2, gm_baseline_pi_bound,
+                        kappa_for, optimize_kappa, short_interval_constants,
                         soz_constants, soz_constants_small,
                         twisted_psi_constants, twisted_psi_constants_small)
 from .errors import (ConvergenceError, CoverageError, DomainError, ParseError,

@@ -458,9 +458,6 @@ class DirichletCharacter:
         j = self.exponent_of(n)
         return complex(self._roots[self.group_exponent if j is None else j])
 
-    def __call__(self, n: int) -> complex:
-        return self.value(n)
-
     def exponent_table(self) -> np.ndarray:
         """exponent_of for all residues; group_exponent marks non-units."""
         e = self.group_exponent
@@ -488,12 +485,14 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     """
     if q < 3:
         raise DomainError("character tables need q >= 3")
-    if q > 10 ** 9:
-        raise DomainError("modulus too large for the trial-division factorizer")
+    # the paper's small-moduli range; the dense (q, g) log matrix and one
+    # object per character would need gigabytes near q = 1e9
+    if q > 10 ** 4:
+        raise DomainError(f"character tables need q <= 10^4, got {q}")
     blocks = [(p, p ** e, *_block_logs(p, e)) for p, e in sorted(prime_factors(q))]
     orders = tuple(s for *_, block_orders in blocks for s in block_orders)
     group_exp = math.lcm(*orders)
-    # shared by every character, so read-only; with q <= 1e9 each of the g
+    # shared by every character, so read-only; with q <= 1e4 each of the g
     # terms of L @ w is below e**2 and the int64 product stays exact
     n = np.arange(q)
     logs = np.concatenate([table[n % pk] for _, pk, table, _ in blocks], axis=1)

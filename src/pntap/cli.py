@@ -63,22 +63,6 @@ def render_table(header: list[str], rows: list[list], fmt: str) -> str:
     return "\n".join(out)
 
 
-def _chain(log_x0: float, small: bool, self_consistent: bool):
-    """Build the full constants chain at one log x0."""
-    kappa = C.kappa_for(log_x0)
-    si = C.short_interval_constants(log_x0, kappa)
-    if small:
-        soz = C.soz_constants_small(log_x0)
-        anchor = None if self_consistent else C.soz_constants_small(C.LOG_X0_GRID[-1])
-        tp = C.twisted_psi_constants_small(log_x0, soz, si, sigma6_soz=anchor)
-        ap = C.ap_constants_small(log_x0, tp)
-    else:
-        soz = C.soz_constants(log_x0)
-        tp = C.twisted_psi_constants(log_x0, soz, si)
-        ap = C.ap_constants(log_x0, tp)
-    return soz, kappa, si, tp, ap
-
-
 def _soz_row(lx: float) -> list:
     """k1 and k2, with the small-moduli k1~ and k2~ where log x0 allows them."""
     if lx >= C.SMALL_LOG_X0_MIN:
@@ -95,16 +79,16 @@ def _short_interval_row(lx: float) -> list:
 
 
 # --which choice -> (title, columns after log_x0, row at one log x0, whether
-# the row reads the whole chain (soz, kappa, si, tp, ap) rather than log x0)
+# the row reads the whole chain (soz, si, tp, ap) rather than log x0)
 _SECTIONS = {
     "soz": ("zero-sum constants", ["k1", "k1_small", "k2", "k2_small"], _soz_row, False),
     "short-interval": ("short-interval constants", ["kappa0", "kappa1", "kappa2", "k3", "k4"],
                        _short_interval_row, False),
     "twisted": ("twisted-psi constants", ["k5", "k6", "Omega0", "Omega1", "Omega2"],
-                lambda soz, kappa, si, tp, ap: [tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2],
+                lambda soz, si, tp, ap: [tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2],
                 True),
     "ap": ("progression constants", ["a1", "a2", "a3", "a4", "a5", "a6"],
-           lambda soz, kappa, si, tp, ap: list(ap.a), True),
+           lambda soz, si, tp, ap: list(ap.a), True),
 }
 
 
@@ -126,7 +110,7 @@ def cmd_constants(args) -> int:
         rows = []
         for lx in x0s:
             try:
-                values = (row(*_chain(lx, args.small, args.self_consistent)) if whole_chain
+                values = (row(*C.chain(lx, args.small, args.self_consistent)) if whole_chain
                           else row(lx))
             except PntapError as exc:
                 values = [f"error: {exc}"] + [None] * (len(header) - 1)
@@ -137,13 +121,17 @@ def cmd_constants(args) -> int:
         body = render_table(["log_x0", *header], rows, args.format)
         sections.append(f"### {title}\n\n{body}" if args.format == "md" else body)
 
-    text = "\n\n".join(sections)
-    if args.out:
-        with open(args.out, "w") as fh:
+    _emit("\n\n".join(sections), args.out)
+    return 2 if had_error else 0
+
+
+def _emit(text: str, out) -> None:
+    """Print text, or write it to the --out file."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 2 if had_error else 0
 
 
 def _load_zeros(args, kind="zeta"):
@@ -179,7 +167,7 @@ def cmd_verify(args) -> int:
         lx = args.log_x0
         if lx is None:
             lx = C.SMALL_LOG_X0_MIN if args.small else 10.0
-        *_, ap = _chain(lx, args.small, False)
+        *_, ap = C.chain(lx, args.small)
         xs = _sample_xs(args, max(math.exp(lx), float(q)))
         report = verify_ap_bounds(ap, q, a, xs, segment=args.segment)
     elif suite == "lehman":
@@ -187,17 +175,12 @@ def cmd_verify(args) -> int:
     elif suite == "gm":
         q = 3 if args.q is None else args.q
         lx = 10.0 if args.log_x0 is None else args.log_x0
-        *_, ap = _chain(lx, args.small, False)
+        *_, ap = C.chain(lx, args.small)
         report = compare_gm_baseline(ap, q, _sample_xs(args, max(math.exp(lx), float(q))))
     else:
         raise PntapError(f"unknown suite {suite!r}")
 
-    text = report.to_json() if args.format == "json" else report.to_markdown()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(report.to_json() if args.format == "json" else report.to_markdown(), args.out)
     return 0 if report.passed else 1
 
 
@@ -232,7 +215,7 @@ def cmd_bound(args) -> int:
         rhs = C.evaluate_bounds("principal", args.x, args.q)
         provenance = "principal-character bound"
     else:
-        _, kappa, si, tp, ap = _chain(lx, args.small, False)
+        _, _, tp, ap = C.chain(lx, args.small)
         consts = tp if args.kind in ("psi_chi", "theta_chi") else ap
         rhs = C.evaluate_bounds(args.kind, args.x, args.q, consts)
         src = "reference kappa row" if lx in C.REFERENCE_KAPPA else "optimized kappa"

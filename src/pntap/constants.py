@@ -8,7 +8,9 @@ Produces every record in the chain
           -> progression constants (Omega3..Omega7 and the a-vector),
 
 together with right-hand-side evaluators for every bound the chain yields
-and the cyclotomic baseline comparator.
+and the cyclotomic baseline comparator.  ``chain`` builds one row of it,
+general or small-moduli, and is the one place the records are wired
+together.
 
 Off the reference grid, kappa comes from ``optimize_kappa``, a compass
 search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
@@ -543,15 +545,14 @@ def twisted_psi_constants(log_x0: float, soz: SozConstants,
 
 
 def twisted_psi_constants_small(log_x0: float, soz_small: SozConstants,
-                                si: ShortIntervalConstants,
-                                sigma6_soz: Optional[SozConstants] = None) -> TwistedPsiConstants:
+                                si: ShortIntervalConstants, *,
+                                self_consistent: bool) -> TwistedPsiConstants:
     """Assemble the small-moduli chain (q <= 10^4, x0 >= 1.05e7).
 
-    sigma6_soz selects the zero-sum record whose k1~ feeds sigma6.  The
-    bundled reference tables were generated with that record frozen at the
-    final grid row (log x0 = 500) for every line; pass the frozen record to
-    reproduce them, or leave None to use soz_small itself (the
-    self-consistent reading).
+    self_consistent selects the zero-sum record whose k1~ feeds sigma6.
+    The bundled reference tables were generated with that record frozen at
+    the final grid row (log x0 = 500) for every line; False reproduces
+    them, True uses soz_small itself (the self-consistent reading).
     """
     if log_x0 < SMALL_LOG_X0_MIN:
         raise DomainError(f"requires log x0 >= {SMALL_LOG_X0_MIN:.6f}")
@@ -559,9 +560,7 @@ def twisted_psi_constants_small(log_x0: float, soz_small: SozConstants,
         raise ValidationError("need a small-moduli zero-sum record")
     if abs(soz_small.log_x0 - log_x0) > 1e-12 or abs(si.log_x0 - log_x0) > 1e-12:
         raise ValidationError("records must be computed at the same log x0")
-    anchor = sigma6_soz if sigma6_soz is not None else soz_small
-    if not anchor.small_moduli:
-        raise ValidationError("sigma6_soz must be a small-moduli record")
+    anchor = soz_small if self_consistent else soz_constants_small(LOG_X0_GRID[-1])
     x = math.exp(log_x0)
     sx = math.sqrt(x)
     lx = log_x0
@@ -649,6 +648,23 @@ def ap_constants_small(log_x0: float, tp_small: TwistedPsiConstants) -> APConsta
     if not tp_small.small_moduli:
         raise ValidationError("need a small-moduli twisted-psi record")
     return ap_constants(log_x0, tp_small, clamp_omega1=True)
+
+
+def chain(log_x0: float, small: bool = False, self_consistent: bool = False):
+    """One row of the chain at log x0: the (soz, si, tp, ap) records.
+
+    small selects the small-moduli chain (q <= 10^4, x0 >= 1.05e7) and
+    self_consistent its sigma6 anchor (see twisted_psi_constants_small);
+    kappa comes from kappa_for.
+    """
+    si = short_interval_constants(log_x0, kappa_for(log_x0))
+    if small:
+        soz = soz_constants_small(log_x0)
+        tp = twisted_psi_constants_small(log_x0, soz, si, self_consistent=self_consistent)
+        return soz, si, tp, ap_constants_small(log_x0, tp)
+    soz = soz_constants(log_x0)
+    tp = twisted_psi_constants(log_x0, soz, si)
+    return soz, si, tp, ap_constants(log_x0, tp)
 
 
 # ---------------------------------------------------------------------------

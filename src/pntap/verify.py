@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,11 +77,7 @@ class BoundReport:
             "skipped": self.skipped,
             "runtime": self.runtime,
             "passed": self.passed,
-            "samples": [
-                {"x": s.x, "q": s.q, "a": s.a, "lhs": s.lhs, "rhs": s.rhs,
-                 "margin": s.margin, "what": s.what, "skipped": s.skipped}
-                for s in self.samples
-            ],
+            "samples": [asdict(s) for s in self.samples],
         }, indent=2)
 
     def to_markdown(self) -> str:
@@ -104,8 +100,16 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _canonical_weights() -> list[WeightSpec]:
-    return [weight_inverse(), weight_inverse_square(), weight_quarter_sqrt()]
+def _seeded_sums(zeros: ZeroTable, lo: float, hi: float,
+                 n_ranges: int) -> Iterator[tuple[WeightSpec, float, float, float]]:
+    """(weight, U, V, exact sum over the table) for each canonical weight
+    (1/t, 1/t^2, (1/4+t^2)^(-1/2)) and each of n_ranges ranges (U, V)
+    drawn from DEFAULT_SEED inside [lo, hi]."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    pairs = np.sort(rng.uniform(lo, hi, size=(n_ranges, 2)), axis=1)
+    for phi in (weight_inverse(), weight_inverse_square(), weight_quarter_sqrt()):
+        for U, V in pairs.tolist():
+            yield phi, U, V, exact_weighted_sum(zeros, phi.value, U, V)
 
 
 def verify_bpt(zeros: ZeroTable, n_ranges: int = 50) -> BoundReport:
@@ -123,14 +127,10 @@ def verify_bpt(zeros: ZeroTable, n_ranges: int = 50) -> BoundReport:
     top = min(1000.0, zeros.max_height)
     if top <= TWO_PI:
         raise CoverageError("table too short for randomized ranges")
-    rng = np.random.default_rng(DEFAULT_SEED)
-    pairs = np.sort(rng.uniform(TWO_PI, top, size=(n_ranges, 2)), axis=1)
-    for phi in _canonical_weights():
-        for U, V in pairs:
-            exact = exact_weighted_sum(zeros, phi.value, U, V)
-            est = bpt_sum(phi, U, V)
-            report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,
-                       what=f"{phi.name} on [{U:.2f},{V:.2f}]")
+    for phi, U, V, exact in _seeded_sums(zeros, TWO_PI, top, n_ranges):
+        est = bpt_sum(phi, U, V)
+        report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,
+                   what=f"{phi.name} on [{U:.2f},{V:.2f}]")
     report.runtime = time.perf_counter() - t0
     return report
 
@@ -248,13 +248,9 @@ def verify_lehman(zeros: ZeroTable, n_ranges: int = 25) -> BoundReport:
     top = zeros.max_height
     if top <= 1.0:
         raise CoverageError("table too short")
-    rng = np.random.default_rng(DEFAULT_SEED)
-    pairs = np.sort(rng.uniform(5.0 / 7.0, top, size=(n_ranges, 2)), axis=1)
-    for phi in _canonical_weights():
-        for U, V in pairs:
-            exact = exact_weighted_sum(zeros, phi.value, float(U), float(V))
-            rhs = lehman_sum_upper(phi, float(U), float(V), q)
-            report.add(float(U), q, 0, exact, rhs, what=f"{phi.name} on [{U:.2f},{V:.2f}]")
+    for phi, U, V, exact in _seeded_sums(zeros, 5.0 / 7.0, top, n_ranges):
+        report.add(U, q, 0, exact, lehman_sum_upper(phi, U, V, q),
+                   what=f"{phi.name} on [{U:.2f},{V:.2f}]")
     report.runtime = time.perf_counter() - t0
     return report
 

@@ -91,11 +91,10 @@ def load_zero_table(
                     raise ParseError(f"not a decimal ordinate: {line!r}", line_number=i)
                 if not math.isfinite(v) or v <= 0.0:
                     raise ParseError(f"ordinate must be a positive real: {line!r}", line_number=i)
+                if ords and v <= ords[-1]:
+                    raise ValidationError(f"ordinates not strictly ascending at line {i}")
                 ords.append(v)
         arr = np.array(ords, dtype=np.float64)
-        if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            bad = int(np.nonzero(np.diff(arr) <= 0.0)[0][0]) + 2
-            raise ValidationError(f"ordinates not strictly ascending near line {bad}")
         return ZeroTable(
             kind="zeta",
             ordinates=arr,

@@ -28,19 +28,6 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def _chain(lx0, small=False):
-    kappa = C.kappa_for(lx0)
-    si = C.short_interval_constants(lx0, kappa)
-    if small:
-        soz = C.soz_constants_small(lx0)
-        anchor = C.soz_constants_small(500.0)
-        tp = C.twisted_psi_constants_small(lx0, soz, si, sigma6_soz=anchor)
-        return soz, si, tp, C.ap_constants_small(lx0, tp)
-    soz = C.soz_constants(lx0)
-    tp = C.twisted_psi_constants(lx0, soz, si)
-    return soz, si, tp, C.ap_constants(lx0, tp)
-
-
 def test_criterion_1_soz_table_reproduction():
     t0 = time.time()
     bad = []
@@ -92,7 +79,7 @@ def test_criterion_3_optimizer_quality():
 def test_criterion_4_downstream_tables_and_identities():
     bad = []
     for lx0, row in ref.TWISTED_TABLE.items():
-        _, si, tp, ap = _chain(lx0)
+        _, si, tp, ap = C.chain(lx0)
         got = (tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2)
         bad += [(lx0, "twisted", i, g, w) for i, (g, w) in enumerate(zip(got, row))
                 if not ref.close(g, w)]
@@ -109,7 +96,7 @@ def test_criterion_4_downstream_tables_and_identities():
         if not ok:
             bad.append((lx0, "identity"))
     for lx0, row in ref.AP_TABLE.items():
-        _, si, tp, ap = _chain(lx0)
+        _, si, tp, ap = C.chain(lx0)
         bad += [(lx0, "ap", i, g, w) for i, (g, w) in enumerate(zip(ap.a, row))
                 if not ref.close(g, w)]
         omega_row = ref.OMEGA_TABLE[lx0]
@@ -117,18 +104,18 @@ def test_criterion_4_downstream_tables_and_identities():
         bad += [(lx0, "omega", i, g, w) for i, (g, w)
                 in enumerate(zip(got_omega, omega_row)) if not ref.close(g, w)]
     for lx0, row in ref.AP_SMALL_TABLE.items():
-        soz, si, tp, ap = _chain(lx0, small=True)
+        soz, si, tp, ap = C.chain(lx0, small=True)
         bad += [(lx0, "ap-small", i, g, w) for i, (g, w) in enumerate(zip(ap.a, row))
                 if not ref.close(g, w)]
         if abs(tp.Omega2 + si.k4) > 1e-12 * max(1.0, abs(si.k4)):
             bad.append((lx0, "identity Omega2~=-k4"))
     # spot anchors
-    _, _, tp10, ap10 = _chain(10.0)
+    _, _, tp10, ap10 = C.chain(10.0)
     if not ref.close(ap10.a[0], 1.27146):
         bad.append(("anchor", "a1(e10)"))
     if not ref.close(tp10.Omega1, 0.78834):
         bad.append(("anchor", "Omega1(e10)"))
-    _, _, _, aps20 = _chain(20.0, small=True)
+    _, _, _, aps20 = C.chain(20.0, small=True)
     if not ref.close(aps20.a[1], -10.80603):
         bad.append(("anchor", "a2~(e20)"))
     _report("4 downstream tables (twisted/omega/ap/ap-small) + identities",
@@ -225,7 +212,7 @@ def test_criterion_7_exact_arithmetic():
 
 def test_criterion_8_empirical_theorem_checks():
     t0 = time.time()
-    _, si10, _, ap10 = _chain(10.0)
+    _, si10, _, ap10 = C.chain(10.0)
     x0 = math.exp(10.0)
     xs_si = [x0 * (1e9 / x0) ** (i / 5) for i in range(6)]
     si_report = verify_short_interval(si10, xs_si)
@@ -261,7 +248,7 @@ def test_criterion_8_empirical_theorem_checks():
                         checked += 1
     # small-moduli chain spot check at the corollary threshold
     lx_small = C.SMALL_LOG_X0_MIN
-    _, _, _, ap_small = _chain(lx_small, small=True)
+    _, _, _, ap_small = C.chain(lx_small, small=True)
     small_report = verify_ap_bounds(ap_small, 5, 2, [3e7, 1e8])
     dt = time.time() - t0
     _report("8 empirical progression + short-interval checks to 1e9",
@@ -272,7 +259,7 @@ def test_criterion_8_empirical_theorem_checks():
 
 
 def test_criterion_9_gm_baseline():
-    _, _, _, ap = _chain(500.0)
+    _, _, _, ap = C.chain(500.0)
     x = math.exp(500.0)
     report = compare_gm_baseline(ap, 3, [x])
     margin = report.samples[0].margin

@@ -446,6 +446,11 @@ class TestCharacters:
         with pytest.raises(DomainError):
             character_table(2)
 
+    def test_stops_at_the_small_moduli_range(self):
+        assert len(character_table(10_000)) == euler_phi(10_000) == 4000
+        with pytest.raises(DomainError, match="10\\^4"):
+            character_table(10_001)
+
 
 class TestTwistedSums:
     def test_principal_subtracts_shared_factors(self):

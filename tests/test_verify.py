@@ -20,10 +20,8 @@ def si10():
 
 @pytest.fixture(scope="module")
 def ap10():
-    soz = C.soz_constants(10.0)
-    si = C.short_interval_constants(10.0, C.kappa_for(10.0))
-    tp = C.twisted_psi_constants(10.0, soz, si)
-    return C.ap_constants(10.0, tp)
+    *_, ap = C.chain(10.0)
+    return ap
 
 
 class TestTwistedBoundsEmpirical:
@@ -32,9 +30,7 @@ class TestTwistedBoundsEmpirical:
     XS = [3e4, 1e5, 1e6, 1e7]
 
     def test_every_character_within_bounds(self):
-        soz = C.soz_constants(10.0)
-        si = C.short_interval_constants(10.0, C.kappa_for(10.0))
-        tp = C.twisted_psi_constants(10.0, soz, si)
+        _, _, tp, _ = C.chain(10.0)
         counts = ResidueCounter(range(3, 31)).counts_at_multi(self.XS)
         checked = 0
         for q, snaps in counts.items():
@@ -147,10 +143,7 @@ class TestGmComparison:
         assert len(report.samples) == 2
 
     def test_log500_row_improves(self):
-        soz = C.soz_constants(500.0)
-        si = C.short_interval_constants(500.0, C.kappa_for(500.0))
-        tp = C.twisted_psi_constants(500.0, soz, si)
-        ap = C.ap_constants(500.0, tp)
+        *_, ap = C.chain(500.0)
         x = math.exp(500.0)
         report = compare_gm_baseline(ap, 3, [x])
         assert report.samples[0].margin > 0.0  # ours strictly below baseline

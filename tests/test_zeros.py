@@ -34,6 +34,12 @@ class TestLoading:
         with pytest.raises(ValidationError):
             load_zero_table(write(tmp_path, "21.0\n14.1\n"))
 
+    def test_order_violation_names_file_line(self, tmp_path):
+        # comment and blank lines count: the out-of-order 20.0 is on line 6
+        path = write(tmp_path, "# header\n14.1\n\n21.0\n# c\n20.0\n")
+        with pytest.raises(ValidationError, match=r"line 6\b"):
+            load_zero_table(path)
+
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             load_zero_table(write(tmp_path, "14.1\nnot-a-number\n"))
