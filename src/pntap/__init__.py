@@ -25,7 +25,7 @@ from .zeros import (CharacterLabel, ZeroTable, dump_zero_table,
                     exact_weighted_sum, load_zero_table, omega_low_sum)
 from .zerosum import (SumEstimate, WeightSpec, bpt_sum, count_remainder_R,
                       dirichlet_count_bound, lehman_sum_upper,
-                      tail_inverse_square, weight_constant, weight_inverse,
+                      tail_inverse_square, weight_inverse,
                       weight_inverse_square, weight_quarter_sqrt)
 
 __version__ = "0.1.0"

@@ -135,11 +135,14 @@ def _emit(text: str, out) -> None:
 
 
 def _load_zeros(args, kind="zeta"):
-    path = args.zeros or os.environ.get("PNTAP_ZEROS_DIR") and os.path.join(
-        os.environ["PNTAP_ZEROS_DIR"], "zeta_zeros.txt")
+    """The --zeros table; zeta suites fall back to PNTAP_ZEROS_DIR/zeta_zeros.txt."""
+    path = args.zeros
+    if not path and kind == "zeta" and os.environ.get("PNTAP_ZEROS_DIR"):
+        path = os.path.join(os.environ["PNTAP_ZEROS_DIR"], "zeta_zeros.txt")
     if not path or not os.path.exists(path):
+        where = repr(path) if path else "--zeros, or PNTAP_ZEROS_DIR for zeta suites"
         raise PntapError(
-            f"missing zeros file (looked for {path!r}); expected format: {ZETA_FORMAT_HINT}"
+            f"missing zeros file (looked for {where}); expected format: {ZETA_FORMAT_HINT}"
         )
     label = None
     if kind == "dirichlet" and args.q is not None:

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParseError, ValidationError
+from .zerosum import weight_quarter_sqrt
 
 OMEGA_DEFAULT = 21.664472  # max over primitive characters mod q <= 10^4 of the low-zero sum
 
@@ -123,10 +124,13 @@ def load_zero_table(
                 raise ParseError(f"could not parse row {row!r}", line_number=i)
             if gamma <= 0.0 or not math.isfinite(gamma):
                 raise ParseError(f"gamma must be a positive real, got {row[2]!r}", line_number=i)
-            groups.setdefault((q, idx), []).append(gamma)
+            group = groups.setdefault((q, idx), [])
+            if group and gamma <= group[-1]:
+                raise ValidationError(
+                    f"ordinates for group {(q, idx)} not strictly ascending at line {i}")
+            group.append(gamma)
     if label is not None:
-        key = (label.q, label.index)
-        chosen = groups.get(key, [])
+        chosen = groups.get((label.q, label.index), [])
     else:
         if len(groups) > 1:
             raise ValidationError(
@@ -136,8 +140,6 @@ def load_zero_table(
         if groups:
             label = CharacterLabel(q=key[0], index=key[1])
     arr = np.array(chosen, dtype=np.float64)
-    if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-        raise ValidationError(f"ordinates for group {key} not strictly ascending")
     return ZeroTable(
         kind="dirichlet",
         ordinates=arr,
@@ -203,4 +205,4 @@ def omega_low_sum(table: ZeroTable) -> float:
         raise CoverageError(
             f"table certifies heights only to {table.max_height}; need 200"
         )
-    return exact_weighted_sum(table, lambda t: 1.0 / math.sqrt(0.25 + t * t), 0.0, 200.0)
+    return exact_weighted_sum(table, weight_quarter_sqrt().value, 0.0, 200.0)

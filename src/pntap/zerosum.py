@@ -12,9 +12,11 @@ verification suites check against exact sums from zero tables:
   over Dirichlet zero ordinates (both signs), valid for non-increasing
   weights.
 
-Weights are passed as WeightSpec records carrying analytic derivatives;
-the error terms consume |phi'(U)| directly, so no numerical
-differentiation is ever involved.
+Weights are passed as WeightSpec records carrying an analytic derivative
+and the antiderivatives of phi, phi log(t/2pi) and phi/t.  The main terms
+are differences F(V) - F(U) and the error terms consume |phi'(U)|
+directly, so no numerical integration or differentiation is involved.
+Every canonical weight is positive, decreasing and convex for t > 0.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ValidationError
-from .quadrature import integrate
 
 A0 = 2.067
 A1 = 0.059
@@ -34,18 +35,18 @@ GAMMA_1 = 14.13472  # height of the first zeta zero (lower bound)
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight function with its analytic derivative and shape flags.
+    """A weight phi with its analytic derivative and three antiderivatives.
 
-    convex additionally asserts a continuous, nonnegative second
-    derivative.
+    plain, logt and over_t are antiderivatives of phi(t), phi(t) log(t/2pi)
+    and phi(t)/t, named after the integrand kinds of the constants chain.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    non_increasing: bool = True
-    nonneg: bool = True
-    convex: bool = False
-    name: str = ""
+    plain: Callable[[float], float]
+    logt: Callable[[float], float]
+    over_t: Callable[[float], float]
+    name: str
 
     def __call__(self, t: float) -> float:
         return self.value(t)
@@ -54,13 +55,32 @@ class WeightSpec:
 def weight_inverse() -> WeightSpec:
     """phi(t) = 1/t."""
     return WeightSpec(lambda t: 1.0 / t, lambda t: -1.0 / (t * t),
-                      non_increasing=True, nonneg=True, convex=True, name="1/t")
+                      plain=math.log,
+                      logt=lambda t: 0.5 * math.log(t / TWO_PI) ** 2,
+                      over_t=lambda t: -1.0 / t, name="1/t")
 
 
 def weight_inverse_square() -> WeightSpec:
-    """phi(t) = 1/t^2."""
+    """phi(t) = 1/t^2; its antiderivatives vanish at infinity."""
     return WeightSpec(lambda t: 1.0 / (t * t), lambda t: -2.0 / (t ** 3),
-                      non_increasing=True, nonneg=True, convex=True, name="1/t^2")
+                      plain=lambda t: -1.0 / t,
+                      logt=lambda t: -(math.log(t / TWO_PI) + 1.0) / t,
+                      over_t=lambda t: -0.5 / (t * t), name="1/t^2")
+
+
+def _li2(z: float) -> float:
+    """Dilogarithm Li2(z) = sum z^k/k^2 for 0 <= z <= 0.1 (20 terms)."""
+    return sum(z ** k / (k * k) for k in range(1, 21))
+
+
+def _quarter_sqrt_logt(t: float) -> float:
+    """u^2/2 - u log 8pi + Li2(e^(-2u))/2 with u = asinh 2t, for t >= 5/7.
+
+    The substitution t = sinh(u)/2 turns phi(t) log(t/2pi) dt into
+    (u - log 8pi + log(1 - e^(-2u))) du.
+    """
+    u = math.asinh(2.0 * t)
+    return 0.5 * u * u - u * math.log(8.0 * math.pi) + 0.5 * _li2(math.exp(-2.0 * u))
 
 
 def weight_quarter_sqrt() -> WeightSpec:
@@ -68,16 +88,10 @@ def weight_quarter_sqrt() -> WeightSpec:
     return WeightSpec(
         lambda t: 1.0 / math.sqrt(0.25 + t * t),
         lambda t: -t * (0.25 + t * t) ** -1.5,
-        non_increasing=True, nonneg=True, convex=True, name="(1/4+t^2)^(-1/2)",
+        plain=lambda t: math.asinh(2.0 * t),
+        logt=_quarter_sqrt_logt,
+        over_t=lambda t: -2.0 * math.asinh(0.5 / t), name="(1/4+t^2)^(-1/2)",
     )
-
-
-def weight_constant(c: float) -> WeightSpec:
-    """phi(t) = c >= 0."""
-    if c < 0:
-        raise ValidationError("constant weight must be nonnegative")
-    return WeightSpec(lambda t: c, lambda t: 0.0,
-                      non_increasing=True, nonneg=True, convex=True, name=f"const {c}")
 
 
 @dataclass(frozen=True)
@@ -124,19 +138,13 @@ def bpt_sum(phi: WeightSpec, U: float, V: float) -> SumEstimate:
 
     main_term = (1/2pi) * integral of phi(t) log(t/2pi) over [U, V];
     the budget certifies |exact - main_term| <= error_bound.
-    Requires 2*pi <= U <= V and a weight flagged non-increasing,
-    nonnegative and convex on [U, infinity).
+    Requires 2*pi <= U <= V.
     """
     if U < TWO_PI:
         raise DomainError(f"bpt_sum requires U >= 2*pi, got U={U}")
     if U > V:
         raise DomainError(f"need U <= V, got U={U}, V={V}")
-    if not (phi.non_increasing and phi.nonneg and phi.convex):
-        raise ValidationError("bpt_sum needs the non_increasing, nonneg and convex flags")
-    if U == V:
-        main = 0.0
-    else:
-        main = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V).value / TWO_PI
+    main = (phi.logt(V) - phi.logt(U)) / TWO_PI
     boundary = phi(V) * count_remainder_R(V) + phi(U) * count_remainder_R(U)
     second_order = 2.0 * (A0 + A1 * math.log(U)) * abs(phi.derivative(U)) + (A1 + A2) * phi(U) / U
     return SumEstimate(main_term=main, boundary_terms=boundary,
@@ -172,36 +180,21 @@ def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int) -> float:
     (log q/pi) int phi + (1/pi) int phi log(t/2pi)
         + 2 phi(U) (0.247 log(qU/2pi) + 6.894) + 0.247 int phi/t.
 
-    V may be math.inf only for the canonical 1/t^2 weight, in which case
-    the closed-form tail is used; every other improper sum must be split
-    by the caller.
+    V may be math.inf only for the canonical 1/t^2 weight, whose
+    antiderivatives vanish at infinity; every other improper sum must be
+    split by the caller.
     """
     if U < 5.0 / 7.0:
         raise DomainError(f"requires U >= 5/7, got U={U}")
-    if not (phi.non_increasing and phi.nonneg):
-        raise ValidationError("lehman_sum_upper needs non_increasing and nonneg flags")
     if q < 2:
         raise DomainError(f"modulus must be >= 2, got {q}")
     if math.isinf(V):
         if phi.name != "1/t^2":
             raise DomainError("V=inf is supported only for the 1/t^2 weight")
-        # closed-form improper integrals:
-        #   int_U^inf dt/t^2 = 1/U
-        #   int_U^inf log(t/2pi)/t^2 dt = (log(U/2pi) + 1)/U
-        #   int_U^inf dt/t^3 = 1/(2 U^2)
-        lq = math.log(q)
-        return (lq / math.pi) / U \
-            + (math.log(U / TWO_PI) + 1.0) / (math.pi * U) \
-            + (2.0 / (U * U)) * (0.247 * math.log(q * U / TWO_PI) + 6.894) \
-            + 0.247 / (2.0 * U * U)
-    if U > V:
+    elif U > V:
         raise DomainError(f"need U <= V, got U={U}, V={V}")
-    if U == V:
-        i0 = i1 = i2 = 0.0
-    else:
-        i0 = integrate(phi.value, U, V).value
-        i1 = integrate(lambda t: phi(t) * math.log(t / TWO_PI), U, V).value
-        i2 = integrate(lambda t: phi(t) / t, U, V).value
+    i0, i1, i2 = ((0.0 if math.isinf(V) else F(V)) - F(U)
+                  for F in (phi.plain, phi.logt, phi.over_t))
     return (math.log(q) / math.pi) * i0 + i1 / math.pi \
         + 2.0 * phi(U) * (0.247 * math.log(q * U / TWO_PI) + 6.894) + 0.247 * i2
 

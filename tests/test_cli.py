@@ -149,6 +149,25 @@ class TestVerifyCommand:
         assert code == 2
         assert "one decimal ordinate per line" in err
 
+    def test_missing_zeros_names_its_sources(self, capsys, monkeypatch):
+        monkeypatch.delenv("PNTAP_ZEROS_DIR", raising=False)
+        code, _, err = run(capsys, "verify", "bpt")
+        assert code == 2
+        assert "None" not in err
+        assert "--zeros" in err and "PNTAP_ZEROS_DIR" in err
+
+    def test_zeros_dir_serves_zeta_suites_only(self, capsys, monkeypatch):
+        # the directory holds zeta_zeros.txt; it was once parsed as a
+        # dirichlet CSV and failed on its header
+        monkeypatch.setenv("PNTAP_ZEROS_DIR", str(ZEROS_FILE.parent))
+        code, out, err = run(capsys, "verify", "lehman", "--q", "7")
+        assert code == 2
+        assert out == ""
+        assert "--zeros" in err and "line 1" not in err
+        code, out, _ = run(capsys, "verify", "count")
+        assert code == 0
+        assert "PASS" in out
+
     def test_bpt_passes(self, capsys):
         if not ZEROS_FILE.exists():
             pytest.skip("zero table not generated")

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import pntap.constants as C
+import pntap.quadrature
 from pntap.arith import ResidueCounter, character_table
 from pntap.errors import DomainError
 from pntap.verify import (BoundReport, compare_gm_baseline, verify_ap_bounds,
@@ -134,6 +136,25 @@ class TestLehmanSuite:
         t = load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
         report = verify_lehman(t, n_ranges=10)
         assert report.passed
+
+
+class TestNoNumericalIntegration:
+    def test_zero_sum_suites_never_integrate(self, monkeypatch, zeta_table, tmp_path):
+        # integrate stays as the tests' reference; the certified zero-sum
+        # estimators use closed forms only
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature.integrate called")
+
+        original = pntap.quadrature.integrate
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pntap" and getattr(module, "integrate", None) is original:
+                monkeypatch.setattr(module, "integrate", refuse)
+        assert verify_bpt(zeta_table).passed
+        p = tmp_path / "d.csv"
+        rows = "".join(f"7,3,{g}\n" for g in (1.8, 5.2, 17.0, 44.0, 80.5))
+        p.write_text("q,index,gamma\n" + rows)
+        t = load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
+        assert verify_lehman(t).passed
 
 
 class TestGmComparison:

@@ -80,6 +80,14 @@ class TestDirichletLoading:
         with pytest.raises(ValidationError):
             load_zero_table(p, kind="dirichlet")  # ambiguous without a label
 
+    def test_order_violation_names_file_line(self, tmp_path):
+        # the blank line counts: the out-of-order 3.0 of group (7, 3) is on
+        # line 6, after a row of another group
+        p = write(tmp_path, "q,index,gamma\n7,3,2.5\n7,5,1.0\n\n7,3,4.0\n7,3,3.0\n",
+                  "d.csv")
+        with pytest.raises(ValidationError, match=r"\(7, 3\).*line 6\b"):
+            load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
+
     def test_pair_doubling(self, tmp_path):
         p = write(tmp_path, "q,index,gamma\n7,3,2.5\n7,3,4.25\n", "d.csv")
         t = load_zero_table(p, kind="dirichlet")

@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import pntap.constants as C
 from pntap.errors import DomainError, ValidationError
+from pntap.quadrature import integrate
 from pntap.zeros import exact_weighted_sum
 from pntap.zerosum import (A0, A1, A2, GAMMA_1, SumEstimate, WeightSpec,
                            bpt_sum, count_remainder_R, dirichlet_count_bound,
                            lehman_sum_upper, low_count_twice_bound,
-                           tail_inverse_square, weight_constant,
-                           weight_inverse, weight_inverse_square,
-                           weight_quarter_sqrt, zeta_count_main)
+                           tail_inverse_square, weight_inverse,
+                           weight_inverse_square, weight_quarter_sqrt,
+                           zeta_count_main)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,17 +42,6 @@ class TestCountRemainder:
 
 
 class TestBpt:
-    def test_constant_weight_closed_form(self):
-        c = 0.4
-        U, V = 10.0, 250.0
-        est = bpt_sum(weight_constant(c), U, V)
-        anti = lambda t: t * math.log(t / (TWO_PI * math.e))
-        assert est.main_term == pytest.approx(c / TWO_PI * (anti(V) - anti(U)), rel=1e-10)
-        # derivative term vanishes for a constant weight
-        expected_err = (A1 + A2) * c / U \
-            + c * count_remainder_R(U) + c * count_remainder_R(V)
-        assert est.error_bound == pytest.approx(expected_err, rel=1e-12)
-
     def test_degenerate_interval(self):
         phi = weight_inverse_square()
         U = 20.0
@@ -68,11 +61,6 @@ class TestBpt:
                 exact = exact_weighted_sum(zeta_table, phi.value, float(U), float(V))
                 est = bpt_sum(phi, float(U), float(V))
                 assert abs(exact - est.main_term) <= est.error_bound
-
-    def test_flags_required(self):
-        bad = WeightSpec(lambda t: 1.0 / t, lambda t: -1.0 / t ** 2, convex=False)
-        with pytest.raises(ValidationError):
-            bpt_sum(bad, 10.0, 20.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -126,9 +114,6 @@ class TestLehman:
             + 0.247 * (1.0 / U - 1.0 / V)
         assert got == pytest.approx(expected, rel=1e-9)
 
-    def test_zero_weight(self):
-        assert lehman_sum_upper(weight_constant(0.0), 1.0, 100.0, 5) == 0.0
-
     def test_monotone_in_v_and_q(self):
         phi = weight_inverse()
         base = lehman_sum_upper(phi, 1.0, 50.0, 7)
@@ -168,3 +153,70 @@ class TestSumEstimateInvariants:
             SumEstimate(main_term=1.0, boundary_terms=-0.1, error_bound=1.0)
         with pytest.raises(ValidationError):
             SumEstimate(main_term=1.0, boundary_terms=0.1, error_bound=-1.0)
+
+
+WEIGHTS = (weight_inverse(), weight_inverse_square(), weight_quarter_sqrt())
+# the same weights at 40 digits, and the factor each antiderivative adds
+MP_WEIGHTS = {"1/t": lambda t: 1 / t, "1/t^2": lambda t: 1 / (t * t),
+              "(1/4+t^2)^(-1/2)": lambda t: 1 / mp.sqrt(mp.mpf(1) / 4 + t * t)}
+KINDS = {"plain": lambda t, log: 1, "logt": lambda t, log: log(t / (2 * mp.pi)),
+         "over_t": lambda t, log: 1 / t}
+T_GRID = np.geomspace(5.0 / 7.0, 1e6, 200).tolist()
+
+
+class TestAntiderivatives:
+    """Each closed form F(V) - F(U) against two independent quadratures."""
+
+    # 10 seeded log-uniform intervals in [5/7, 1e6], plus [5/7, 2 pi], where
+    # the dilogarithm series of the third weight takes its largest argument
+    INTERVALS = np.sort(np.exp(np.random.default_rng(2026).uniform(
+        math.log(5.0 / 7.0), math.log(1e6), size=(10, 2))), axis=1).tolist() \
+        + [[5.0 / 7.0, TWO_PI]]
+
+    def test_weights_carry_no_shape_flags(self):
+        assert [f.name for f in dataclasses.fields(WeightSpec)] == \
+            ["value", "derivative", "plain", "logt", "over_t", "name"]
+
+    @pytest.mark.parametrize("phi", WEIGHTS, ids=lambda w: w.name)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_against_mpmath_and_integrate(self, phi, kind):
+        F, w, g = getattr(phi, kind), MP_WEIGHTS[phi.name], KINDS[kind]
+        for a, b in self.INTERVALS:
+            got = F(b) - F(a)
+            with mp.workdps(40):
+                exact = float(mp.quad(lambda t: w(t) * g(t, mp.log), [a, b]))
+            quad = integrate(lambda t: phi(t) * g(t, math.log), a, b).value
+            assert got == pytest.approx(exact, rel=1e-12)
+            assert got == pytest.approx(quad, rel=1e-12)
+
+
+class TestWeightShape:
+    """The hypotheses of bpt_sum and lehman_sum_upper on [5/7, 1e6]:
+    positive, decreasing and convex."""
+
+    @pytest.mark.parametrize("phi", WEIGHTS, ids=lambda w: w.name)
+    def test_positive_decreasing_convex(self, phi):
+        for t in T_GRID:
+            h = 1e-5 * t
+            assert phi(t) > 0.0
+            assert phi.derivative(t) < 0.0
+            assert phi.derivative(t) == pytest.approx(
+                (phi(t + h) - phi(t - h)) / (2 * h), rel=1e-6)
+            h = 1e-2 * t
+            assert phi(t - h) - 2 * phi(t) + phi(t + h) >= 0.0
+
+
+class TestChainAgainstLehman:
+    """The chain's nu1 log q + nu2 is the Lehman bound over [5/7, eta].
+
+    The chain takes its integrals from the reference quadrature, which
+    saturates as log x0 grows, so the check stops at row 80.
+    """
+
+    @pytest.mark.parametrize("lx", [lx for lx in C.LOG_X0_GRID if lx <= 80.0])
+    @pytest.mark.parametrize("q", (3, 10 ** 4))
+    def test_general_rows(self, lx, q):
+        soz = C.soz_constants(lx)
+        bound = lehman_sum_upper(weight_quarter_sqrt(), 5.0 / 7.0,
+                                 C.splitting_height(lx), q)
+        assert soz.nu1 * math.log(q) + soz.nu2 == pytest.approx(bound, rel=1e-5)
