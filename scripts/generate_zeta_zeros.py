@@ -7,7 +7,7 @@ t=200, mpmath below), then polish each bracket with mpmath's siegelz to
 ~1e-11.  A density check against the smooth zero-counting term guards
 against missed pairs.
 
-Usage: python scripts/generate_zeta_zeros.py [HEIGHT] [OUTFILE]
+Usage: PYTHONPATH=src python scripts/generate_zeta_zeros.py [HEIGHT] [OUTFILE]
 """
 import math
 import sys
@@ -15,6 +15,8 @@ import time
 
 import numpy as np
 import mpmath as mp
+
+from pntap.zeros import ZeroTable, dump_zero_table
 
 mp.mp.dps = 18
 TWO_PI = 2.0 * math.pi
@@ -116,9 +118,7 @@ def main():
     smooth = theta_grid(np.array([height]))[0] / math.pi + 1
     print(f"total zeros <= {height}: {nt}  (smooth estimate {smooth:.2f})  density_ok={ok}")
 
-    with open(out, "w") as fh:
-        for z in zeros:
-            fh.write(f"{z:.10f}\n")
+    dump_zero_table(ZeroTable("zeta", np.array(zeros), max(zeros, default=0.0)), out)
     print(f"wrote {len(zeros)} ordinates to {out} in {time.time()-t0:.0f}s")
 
 

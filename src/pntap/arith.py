@@ -325,7 +325,7 @@ class ResidueCounter:
         return self.counts_at_multi(xs)[self.q]
 
 
-def ap_counts(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> APCounts:
+def ap_counts(x: float, q: int, a: int) -> APCounts:
     """Exact pi/theta/psi at x in the class a mod q (q = 1: unrestricted)."""
     if x < 2:
         raise DomainError("requires x >= 2")
@@ -333,7 +333,7 @@ def ap_counts(x: float, q: int, a: int, segment: int = DEFAULT_SEGMENT) -> APCou
         raise DomainError("q must be >= 1")
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
-    pi_q, th_q, ps_q = ResidueCounter(q, segment=segment).counts_at([x])[0]
+    pi_q, th_q, ps_q = ResidueCounter(q).counts_at([x])[0]
     r = a % q
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 
@@ -361,12 +361,12 @@ def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> f
     return float(snap[1][2][0])
 
 
-def short_interval_psi_delta(x: float, segment: int = DEFAULT_SEGMENT) -> float:
+def short_interval_psi_delta(x: float) -> float:
     """psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x, sieved exactly."""
     if x < 2:
         raise DomainError("requires x >= 2")
     h = math.sqrt(x) * math.log(x)
-    return lambda_sum_interval(x, x + h, segment=segment) - h
+    return lambda_sum_interval(x, x + h) - h
 
 
 def psi1_plain(x: float) -> float:

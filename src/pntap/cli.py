@@ -19,12 +19,13 @@ import os
 import sys
 
 from . import constants as C
-from .arith import DEFAULT_SEGMENT, ap_counts
-from .errors import DomainError, PntapError
+from .arith import ap_counts
+from .errors import DomainError, PntapError, ValidationError
 from .verify import (compare_gm_baseline, verify_ap_bounds, verify_bpt,
                      verify_lehman, verify_psi1_explicit,
                      verify_short_interval, verify_zero_count)
 from .zeros import CharacterLabel, load_zero_table
+from .zerosum import GAMMA_1
 
 ZETA_FORMAT_HINT = (
     "zeta zeros file: plain text, one decimal ordinate per line, ascending; "
@@ -144,10 +145,17 @@ def _load_zeros(args, kind="zeta"):
         raise PntapError(
             f"missing zeros file (looked for {where}); expected format: {ZETA_FORMAT_HINT}"
         )
-    label = None
-    if kind == "dirichlet" and args.q is not None:
+    if kind == "zeta":
+        return load_zero_table(path, kind=kind)
+    if args.q is not None:
         label = CharacterLabel(q=args.q, index=1 if args.index is None else args.index)
-    return load_zero_table(path, kind=kind, label=label)
+        return load_zero_table(path, kind=kind, label=label)
+    if args.index is not None:
+        raise DomainError("--index needs --q: a character is named by its modulus and index")
+    try:
+        return load_zero_table(path, kind=kind)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} (without --q and --index the file must hold one group)")
 
 
 def cmd_verify(args) -> int:
@@ -158,12 +166,13 @@ def cmd_verify(args) -> int:
         report = verify_zero_count(_load_zeros(args))
     elif suite == "psi1":
         xs = args.x or [500.0, 1000.0, 5000.0]
+        if args.t_trunc is not None and not args.t_trunc >= GAMMA_1:
+            raise DomainError(f"--t-trunc must be >= GAMMA_1 = {GAMMA_1}, got {args.t_trunc!r}")
         report = verify_psi1_explicit(_load_zeros(args), xs, t_trunc=args.t_trunc)
     elif suite == "short-interval":
         lx = 10.0 if args.log_x0 is None else args.log_x0
         si = C.short_interval_constants(lx, C.kappa_for(lx))
-        report = verify_short_interval(si, _sample_xs(args, math.exp(lx)),
-                                       segment=args.segment)
+        report = verify_short_interval(si, _sample_xs(args, math.exp(lx)))
     elif suite == "ap":
         q = 3 if args.q is None else args.q
         a = 1 if args.a is None else args.a
@@ -172,7 +181,7 @@ def cmd_verify(args) -> int:
             lx = C.SMALL_LOG_X0_MIN if args.small else 10.0
         *_, ap = C.chain(lx, args.small)
         xs = _sample_xs(args, max(math.exp(lx), float(q)))
-        report = verify_ap_bounds(ap, q, a, xs, segment=args.segment)
+        report = verify_ap_bounds(ap, q, a, xs)
     elif suite == "lehman":
         report = verify_lehman(_load_zeros(args, kind="dirichlet"))
     elif suite == "gm":
@@ -206,7 +215,7 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def cmd_count(args) -> int:
-    c = ap_counts(args.x, args.q, args.a, segment=args.segment)
+    c = ap_counts(args.x, args.q, args.a)
     print(json.dumps({"x": c.x, "q": c.q, "a": c.a, "pi": c.pi,
                       "theta": c.theta, "psi": c.psi}))
     return 0
@@ -258,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--t-trunc", type=float)
     pv.add_argument("--log-x0", type=float)
     pv.add_argument("--small", action="store_true")
-    pv.add_argument("--segment", type=int, default=DEFAULT_SEGMENT)
     pv.add_argument("--format", choices=["md", "json"], default="md")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
@@ -267,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--x", type=float, required=True)
     pn.add_argument("--q", type=int, required=True)
     pn.add_argument("--a", type=int, required=True)
-    pn.add_argument("--segment", type=int, default=DEFAULT_SEGMENT)
     pn.set_defaults(func=cmd_count)
 
     pb = sub.add_parser("bound", help="evaluate one bound right-hand side")

@@ -16,15 +16,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import DEFAULT_SEGMENT, ResidueCounter, euler_phi, psi1_plain, \
-    short_interval_psi_delta
+from .arith import ResidueCounter, euler_phi, psi1_plain, short_interval_psi_delta
 from .constants import APConstants, ShortIntervalConstants, evaluate_bounds, \
     gm_baseline_pi_bound
 from .errors import CoverageError, DomainError
 from .quadrature import log_integral_li
 from .zeros import ZeroTable, exact_weighted_sum
-from .zerosum import WeightSpec, bpt_sum, count_remainder_R, lehman_sum_upper, \
-    tail_inverse_square, weight_inverse, weight_inverse_square, \
+from .zerosum import GAMMA_1, WeightSpec, bpt_sum, count_remainder_R, \
+    lehman_sum_upper, tail_inverse_square, weight_inverse, weight_inverse_square, \
     weight_quarter_sqrt, zeta_count_main
 
 DEFAULT_SEED = 20260808
@@ -112,12 +111,12 @@ def _seeded_sums(zeros: ZeroTable, lo: float, hi: float,
             yield phi, U, V, exact_weighted_sum(zeros, phi.value, U, V)
 
 
-def verify_bpt(zeros: ZeroTable, n_ranges: int = 50) -> BoundReport:
+def verify_bpt(zeros: ZeroTable) -> BoundReport:
     """Check the second-order zero-sum estimate against exact sums.
 
     For each canonical weight (1/t, 1/t^2, (1/4+t^2)^(-1/2)) and range
     (U, V): lhs = |exact - main term|, rhs = the certified budget.  The
-    n_ranges ranges are drawn from DEFAULT_SEED inside
+    50 ranges are drawn from DEFAULT_SEED inside
     [2 pi, min(1000, table height)].
     """
     if zeros.kind != "zeta":
@@ -127,7 +126,7 @@ def verify_bpt(zeros: ZeroTable, n_ranges: int = 50) -> BoundReport:
     top = min(1000.0, zeros.max_height)
     if top <= TWO_PI:
         raise CoverageError("table too short for randomized ranges")
-    for phi, U, V, exact in _seeded_sums(zeros, TWO_PI, top, n_ranges):
+    for phi, U, V, exact in _seeded_sums(zeros, TWO_PI, top, 50):
         est = bpt_sum(phi, U, V)
         report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,
                    what=f"{phi.name} on [{U:.2f},{V:.2f}]")
@@ -143,6 +142,9 @@ def verify_zero_count(zeros: ZeroTable) -> BoundReport:
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_zero_count needs a zeta table")
+    if zeros.max_height < TWO_PI + 0.1:
+        raise CoverageError(f"table height {zeros.max_height} is below "
+                            f"2 pi + 0.1 = {TWO_PI + 0.1:.6f}, where the grid starts")
     t0 = time.perf_counter()
     report = BoundReport("zero_count_remainder")
     grid = np.linspace(TWO_PI + 0.1, zeros.max_height, 200)
@@ -167,9 +169,11 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
     if zeros.kind != "zeta":
         raise DomainError("verify_psi1_explicit needs a zeta table")
     if t_trunc is None:
+        if zeros.max_height < GAMMA_1:
+            raise CoverageError(f"table height {zeros.max_height} is below GAMMA_1 = {GAMMA_1}")
         t_trunc = min(1e4, zeros.max_height)
-    if not t_trunc > 0:
-        raise DomainError(f"truncation height must be > 0, got {t_trunc!r}")
+    if not t_trunc >= GAMMA_1:
+        raise DomainError(f"truncation height must be >= {GAMMA_1}, got {t_trunc!r}")
     if zeros.max_height < t_trunc:
         raise CoverageError("zero table does not reach the truncation height")
     t0 = time.perf_counter()
@@ -189,8 +193,7 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
     return report
 
 
-def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
-                          segment: int = DEFAULT_SEGMENT) -> BoundReport:
+def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float]) -> BoundReport:
     """Check |psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x| against its
     bound; samples with non-positive right side are skipped, not failed."""
     t0 = time.perf_counter()
@@ -199,15 +202,14 @@ def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float],
     for x in xs:
         if x < x0 * (1 - 1e-12):
             raise DomainError(f"x={x} below the record's x0")
-        lhs = abs(short_interval_psi_delta(x, segment=segment))
+        lhs = abs(short_interval_psi_delta(x))
         rhs = si.k3 * math.sqrt(x) * math.log(x) - si.k4
         report.add(x, 0, 0, lhs, rhs, what="short interval", skip_nonpositive_rhs=True)
     report.runtime = time.perf_counter() - t0
     return report
 
 
-def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
-                     segment: int = DEFAULT_SEGMENT) -> BoundReport:
+def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float]) -> BoundReport:
     """Check the three progression inequalities (pi, theta, psi) at each x.
 
     One sieve pass serves all xs; right-hand sides come from
@@ -218,8 +220,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
     t0 = time.perf_counter()
     report = BoundReport(f"ap_bounds_q{q}_a{a}")
     xs = sorted(xs)
-    counter = ResidueCounter(q, segment=segment)
-    snapshots = counter.counts_at(xs)
+    snapshots = ResidueCounter(q).counts_at(xs)
     phi_q = euler_phi(q)
     r = a % q
     for x, (pi_q, th_q, ps_q) in zip(xs, snapshots):
@@ -237,9 +238,10 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float],
     return report
 
 
-def verify_lehman(zeros: ZeroTable, n_ranges: int = 25) -> BoundReport:
+def verify_lehman(zeros: ZeroTable) -> BoundReport:
     """Check the first-order Dirichlet zero-sum upper bound against exact
-    sums from a Dirichlet zero table (runs only when such data exists)."""
+    sums from a Dirichlet zero table (runs only when such data exists), on
+    25 ranges drawn from DEFAULT_SEED inside [5/7, table height]."""
     if zeros.kind != "dirichlet" or zeros.label is None:
         raise DomainError("verify_lehman needs a labelled dirichlet table")
     t0 = time.perf_counter()
@@ -248,7 +250,7 @@ def verify_lehman(zeros: ZeroTable, n_ranges: int = 25) -> BoundReport:
     top = zeros.max_height
     if top <= 1.0:
         raise CoverageError("table too short")
-    for phi, U, V, exact in _seeded_sums(zeros, 5.0 / 7.0, top, n_ranges):
+    for phi, U, V, exact in _seeded_sums(zeros, 5.0 / 7.0, top, 25):
         report.add(U, q, 0, exact, lehman_sum_upper(phi, U, V, q),
                    what=f"{phi.name} on [{U:.2f},{V:.2f}]")
     report.runtime = time.perf_counter() - t0

@@ -8,16 +8,22 @@ stored ordinate twice because zeros come in conjugate pairs.
 
 File formats
 ------------
-zeta:      plain text, one decimal ordinate per line, ascending.
+zeta:      plain text, one decimal ordinate per line, ascending; blank
+           lines and lines starting with # are skipped.
 dirichlet: CSV with header ``q,index,gamma``; gamma > 0 ascending within
            each (q, index) group.
+
+One loop reads both: a zeta file is one group, a dirichlet row belongs to
+its (q, index), and each ordinate must be a finite positive real above the
+last of its group; every error names its 1-based file line.  A label then
+picks its group or fails; without one, the file's only group is used.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -73,79 +79,63 @@ def load_zero_table(
     kind: str = "zeta",
     label: Optional[CharacterLabel] = None,
 ) -> ZeroTable:
-    """Load and validate a zero table from disk.
-
-    For kind="dirichlet" with a label, only rows matching the label's
-    (q, index) are kept; without a label the file must contain a single
-    group.  Malformed lines raise ParseError with their line number.
-    """
-    if kind == "zeta":
-        ords = []
-        with open(path) as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    v = float(line)
-                except ValueError:
-                    raise ParseError(f"not a decimal ordinate: {line!r}", line_number=i)
-                if not math.isfinite(v) or v <= 0.0:
-                    raise ParseError(f"ordinate must be a positive real: {line!r}", line_number=i)
-                if ords and v <= ords[-1]:
-                    raise ValidationError(f"ordinates not strictly ascending at line {i}")
-                ords.append(v)
-        arr = np.array(ords, dtype=np.float64)
-        return ZeroTable(
-            kind="zeta",
-            ordinates=arr,
-            max_height=float(arr[-1]) if arr.size else 0.0,
-        )
-
-    if kind != "dirichlet":
+    """Load and validate a zero table from disk; the module docstring
+    gives the rules and how a label selects a group."""
+    if kind not in ("zeta", "dirichlet"):
         raise ValidationError(f"unknown table kind {kind!r}")
-    groups: dict[tuple[int, int], list[float]] = {}
+    groups: dict[Optional[tuple[int, int]], list[float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty dirichlet zeros file (expected header q,index,gamma)", line_number=1)
-        if [h.strip().lower() for h in header] != ["q", "index", "gamma"]:
-            raise ParseError(f"expected header q,index,gamma, got {header!r}", line_number=1)
-        for i, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line_number=i)
+        for i, key, text in (_zeta_rows if kind == "zeta" else _dirichlet_rows)(fh):
             try:
-                q, idx, gamma = int(row[0]), int(row[1]), float(row[2])
+                v = float(text)
             except ValueError:
-                raise ParseError(f"could not parse row {row!r}", line_number=i)
-            if gamma <= 0.0 or not math.isfinite(gamma):
-                raise ParseError(f"gamma must be a positive real, got {row[2]!r}", line_number=i)
-            group = groups.setdefault((q, idx), [])
-            if group and gamma <= group[-1]:
-                raise ValidationError(
-                    f"ordinates for group {(q, idx)} not strictly ascending at line {i}")
-            group.append(gamma)
+                raise ParseError(f"not a decimal ordinate: {text!r}", line_number=i)
+            if not 0.0 < v < math.inf:  # also rejects nan
+                raise ParseError(f"ordinate must be a positive real: {text!r}", line_number=i)
+            group = groups.setdefault(key, [])
+            if group and v <= group[-1]:
+                where = "" if key is None else f" for group {key}"
+                raise ValidationError(f"ordinates{where} not strictly ascending at line {i}")
+            group.append(v)
+    present = ", ".join(str(k) for k in groups if k is not None) or "none"
     if label is not None:
-        chosen = groups.get((label.q, label.index), [])
+        key = (label.q, label.index)
+        if key not in groups:
+            raise ValidationError(f"no zeros for group {key} in the file; groups present: {present}")
+    elif len(groups) > 1:
+        raise ValidationError(
+            f"file holds {len(groups)} character groups ({present}); a label must select one")
     else:
-        if len(groups) > 1:
-            raise ValidationError(
-                f"file holds {len(groups)} character groups; pass a label to select one"
-            )
-        key, chosen = next(iter(groups.items())) if groups else ((0, 0), [])
-        if groups:
-            label = CharacterLabel(q=key[0], index=key[1])
-    arr = np.array(chosen, dtype=np.float64)
-    return ZeroTable(
-        kind="dirichlet",
-        ordinates=arr,
-        max_height=float(arr[-1]) if arr.size else 0.0,
-        label=label,
-    )
+        key = next(iter(groups), None)
+        label = None if key is None else CharacterLabel(*key)
+    ords = np.array(groups.get(key, []), dtype=np.float64)
+    return ZeroTable(kind, ords, float(ords[-1]) if ords.size else 0.0, label)
+
+
+def _zeta_rows(fh) -> Iterator[tuple[int, None, str]]:
+    """(line number, None, ordinate text) per line; blank and # lines skip."""
+    for i, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield i, None, line
+
+
+def _dirichlet_rows(fh) -> Iterator[tuple[int, tuple[int, int], str]]:
+    """(line number, (q, index), gamma text) per CSV row after the header."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header] != ["q", "index", "gamma"]:
+        raise ParseError(f"expected header q,index,gamma, got {header!r}", line_number=1)
+    for i, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line_number=i)
+        try:
+            key = (int(row[0]), int(row[1]))
+        except ValueError:
+            raise ParseError(f"could not parse row {row!r}", line_number=i)
+        yield i, key, row[2]
 
 
 def dump_zero_table(table: ZeroTable, path) -> None:

@@ -124,7 +124,7 @@ def test_criterion_4_downstream_tables_and_identities():
 
 def test_criterion_5_lemma_soundness(zeta_table):
     t0 = time.time()
-    bpt = verify_bpt(zeta_table, n_ranges=50)
+    bpt = verify_bpt(zeta_table)
     count = verify_zero_count(zeta_table)
     dt = time.time() - t0
     _report("5 estimator soundness vs zero data",

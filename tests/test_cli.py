@@ -117,10 +117,8 @@ class TestCountAndBound:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("extra", [
-        ["--x", "nan"], ["--x", "1e309"],
-        ["--x", "100", "--segment", "0"], ["--x", "100", "--segment", "-3"],
-    ], ids=["x-nan", "x-inf", "segment-0", "segment-neg"])
+    @pytest.mark.parametrize("extra", [["--x", "nan"], ["--x", "1e309"]],
+                             ids=["x-nan", "x-inf"])
     def test_count_bad_x_or_segment_is_domain_error(self, capsys, extra):
         code, out, err = run(capsys, "count", "--q", "5", "--a", "2", *extra)
         assert code == 2
@@ -217,6 +215,58 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "does not reach the truncation height" in err
+
+    def test_psi1_t_trunc_below_first_zero_names_flag(self, capsys):
+        code, out, err = run(capsys, "verify", "psi1", "--zeros", str(ZEROS_FILE),
+                             "--x", "500", "--t-trunc", "3")
+        assert code == 2
+        assert out == ""
+        assert "--t-trunc" in err and "14.13472" in err
+
+    @pytest.mark.parametrize("suite", ["count", "psi1"])
+    @pytest.mark.parametrize("text", ["", "3.0\n6.3\n"], ids=["empty", "short"])
+    def test_short_table_is_coverage_error(self, capsys, tmp_path, suite, text):
+        table = tmp_path / "z.txt"
+        table.write_text(text)
+        code, out, err = run(capsys, "verify", suite, "--zeros", str(table))
+        assert code == 2
+        assert out == ""
+        assert "table height" in err and "below" in err
+        assert "requires" not in err and "truncation" not in err
+
+    TWO_GROUPS = "q,index,gamma\n7,3,1.8\n7,5,2.0\n7,3,5.2\n7,5,6.1\n"
+
+    @pytest.mark.parametrize("label,wanted", [
+        (["--q", "7"], "(7, 1)"), (["--q", "11", "--index", "2"], "(11, 2)"),
+    ], ids=["index-default", "other-modulus"])
+    def test_lehman_missing_group_is_error(self, capsys, tmp_path, label, wanted):
+        # such a label once loaded an empty table and failed as "too short"
+        table = tmp_path / "two.csv"
+        table.write_text(self.TWO_GROUPS)
+        code, out, err = run(capsys, "verify", "lehman", "--zeros", str(table), *label)
+        assert code == 2
+        assert out == ""
+        assert "too short" not in err
+        assert "(7, 3), (7, 5)" in err
+        assert wanted in err
+
+    def test_lehman_several_groups_names_flags(self, capsys, tmp_path):
+        table = tmp_path / "two.csv"
+        table.write_text(self.TWO_GROUPS)
+        code, out, err = run(capsys, "verify", "lehman", "--zeros", str(table))
+        assert code == 2
+        assert out == ""
+        assert "--q" in err and "--index" in err
+
+    def test_lehman_index_without_q_is_error(self, capsys, tmp_path):
+        # the file's only group (7, 3) was once checked in place of index 5
+        table = tmp_path / "one.csv"
+        table.write_text("q,index,gamma\n7,3,1.8\n7,3,5.2\n7,3,17.0\n")
+        code, out, err = run(capsys, "verify", "lehman", "--zeros", str(table),
+                             "--index", "5")
+        assert code == 2
+        assert out == ""
+        assert "--q" in err
 
     def test_lehman_index_zero_is_error(self, capsys, tmp_path):
         # --index 0 once selected the character with index 1

@@ -8,11 +8,11 @@ import pytest
 import pntap.constants as C
 import pntap.quadrature
 from pntap.arith import ResidueCounter, character_table
-from pntap.errors import DomainError
+from pntap.errors import CoverageError, DomainError
 from pntap.verify import (BoundReport, compare_gm_baseline, verify_ap_bounds,
                           verify_bpt, verify_lehman, verify_psi1_explicit,
                           verify_short_interval, verify_zero_count)
-from pntap.zeros import CharacterLabel, load_zero_table
+from pntap.zeros import CharacterLabel, ZeroTable, load_zero_table
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +52,14 @@ class TestTwistedBoundsEmpirical:
 
 class TestBptSuite:
     def test_passes_on_data(self, zeta_table):
-        report = verify_bpt(zeta_table, n_ranges=20)
+        report = verify_bpt(zeta_table)
         assert report.passed
         assert report.violations == 0
-        assert len(report.samples) == 60
+        assert len(report.samples) == 150
 
     def test_deterministic(self, zeta_table):
-        r1 = verify_bpt(zeta_table, n_ranges=5)
-        r2 = verify_bpt(zeta_table, n_ranges=5)
+        r1 = verify_bpt(zeta_table)
+        r2 = verify_bpt(zeta_table)
         s1 = [(s.x, s.lhs, s.rhs) for s in r1.samples]
         s2 = [(s.x, s.lhs, s.rhs) for s in r2.samples]
         assert s1 == s2
@@ -72,11 +72,21 @@ class TestBptSuite:
             verify_bpt(t)
 
 
+def _zeta(*ordinates):
+    return ZeroTable("zeta", np.array(ordinates), max(ordinates, default=0.0))
+
+
 class TestZeroCountSuite:
     def test_grid_passes(self, zeta_table):
         report = verify_zero_count(zeta_table)
         assert report.passed
         assert len(report.samples) == 200
+
+    @pytest.mark.parametrize("ordinates", [(), (3.0, 6.3)])
+    def test_short_table_is_coverage_error(self, ordinates):
+        # the grid from 2 pi + 0.1 once ran downward into count_remainder_R
+        with pytest.raises(CoverageError, match=r"height .* below 2 pi \+ 0\.1 = 6\.383185"):
+            verify_zero_count(_zeta(*ordinates))
 
 
 class TestPsi1Suite:
@@ -94,6 +104,17 @@ class TestPsi1Suite:
             half = 0.5 * (2.069 - 1.545)
             taus.append(report.samples[0].rhs - half)
         assert taus == sorted(taus, reverse=True)
+
+    @pytest.mark.parametrize("ordinates", [(), (3.0,), (3.0, 14.0)])
+    def test_short_table_is_coverage_error(self, ordinates):
+        # without t_trunc the table's height was once taken as the cut
+        with pytest.raises(CoverageError, match="below GAMMA_1 = 14.13472"):
+            verify_psi1_explicit(_zeta(*ordinates), [500.0])
+
+    @pytest.mark.parametrize("t_trunc", [0.0, 3.0, 14.0, float("nan")])
+    def test_cut_below_first_zero_is_domain_error(self, zeta_table, t_trunc):
+        with pytest.raises(DomainError, match="truncation height"):
+            verify_psi1_explicit(zeta_table, [500.0], t_trunc=t_trunc)
 
 
 class TestShortIntervalSuite:
@@ -134,7 +155,7 @@ class TestLehmanSuite:
         rows = "".join(f"7,3,{g}\n" for g in (1.8, 5.2, 17.0, 44.0, 80.5))
         p.write_text("q,index,gamma\n" + rows)
         t = load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
-        report = verify_lehman(t, n_ranges=10)
+        report = verify_lehman(t)
         assert report.passed
 
 

@@ -95,6 +95,83 @@ class TestDirichletLoading:
         assert exact_weighted_sum(t, lambda g: 1.0, 0.0, 4.25) == 3.0
 
 
+class TestOneReader:
+    # both formats run through one loop: each rule keeps its exception
+    # class and names the 1-based file line, counting blank, comment and
+    # header lines
+    @pytest.mark.parametrize("kind,text,exc,line", [
+        ("zeta", "# c\n14.1\n\nabc\n", ParseError, 4),
+        ("zeta", "14.1\n\ninf\n", ParseError, 3),
+        ("zeta", "14.1\n# c\nnan\n", ParseError, 3),
+        ("zeta", "# c\n0.0\n", ParseError, 2),
+        ("zeta", "14.1\n-2.5\n", ParseError, 2),
+        ("zeta", "14.1\n# c\n21.0 25.0\n", ParseError, 3),
+        ("zeta", "14.1\n# c\n\n21.0\n20.0\n", ValidationError, 5),
+        ("dirichlet", "q,index,gamma\n\n7,3,abc\n", ParseError, 3),
+        ("dirichlet", "q,index,gamma\n7,3,2.5\n\n7,3,inf\n", ParseError, 4),
+        ("dirichlet", "q,index,gamma\n7,3,nan\n", ParseError, 2),
+        ("dirichlet", "q,index,gamma\n7,3,2.5\n7,3,0\n", ParseError, 3),
+        ("dirichlet", "q,index,gamma\n\n7,3,-1.0\n", ParseError, 3),
+        ("dirichlet", "q,index,gamma\n7,3,2.5\n7,3\n", ParseError, 3),
+        ("dirichlet", "q,index,gamma\n7,3,2.5,1\n", ParseError, 2),
+        ("dirichlet", "q,index,gamma\n7,3,2.5\n7,5,1.0\n\n7,5,9.0\n7,3,4.0\n7,5,3.0\n",
+         ValidationError, 7),
+    ], ids=["zeta-text", "zeta-inf", "zeta-nan", "zeta-zero", "zeta-negative",
+            "zeta-two-fields", "zeta-order", "dir-text", "dir-inf", "dir-nan", "dir-zero",
+            "dir-negative", "dir-two-fields", "dir-four-fields", "dir-order-interleaved"])
+    def test_error_class_and_line(self, tmp_path, kind, text, exc, line):
+        p = write(tmp_path, text, "z.csv")
+        label = CharacterLabel(7, 5) if kind == "dirichlet" else None
+        with pytest.raises(exc, match=rf"line {line}\b") as info:
+            load_zero_table(p, kind=kind, label=label)
+        if exc is ParseError:
+            assert info.value.line_number == line
+        assert type(info.value) is exc
+
+    @pytest.mark.parametrize("kind,text", [
+        ("zeta", ""), ("zeta", "# only a comment\n\n"),
+        ("dirichlet", "q,index,gamma\n"), ("dirichlet", "q,index,gamma\n\n"),
+    ])
+    def test_empty_and_header_only(self, tmp_path, kind, text):
+        t = load_zero_table(write(tmp_path, text, "z.csv"), kind=kind)
+        assert t.kind == kind
+        assert len(t) == 0 and t.max_height == 0.0
+        assert t.label is None
+
+    def test_labelled_dirichlet_roundtrip(self, tmp_path):
+        rows = ["7,3,6.0209489055", "7,5,4.1354185622", "7,3,9.5549063941",
+                "7,5,8.3421596017", "7,3,12.5345729021"]
+        p = write(tmp_path, "q,index,gamma\n" + "\n".join(rows) + "\n", "d.csv")
+        t = load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
+        out = tmp_path / "copy.csv"
+        dump_zero_table(t, out)
+        again = load_zero_table(out, kind="dirichlet", label=CharacterLabel(7, 3))
+        assert again.label == t.label == CharacterLabel(7, 3)
+        assert again.ordinates.tobytes() == t.ordinates.tobytes()
+        assert again.max_height == t.max_height == 12.5345729021
+        assert out.read_text().splitlines()[1:] == [rows[0], rows[2], rows[4]]
+
+    @pytest.mark.parametrize("label", [CharacterLabel(7, 1), CharacterLabel(11, 2)])
+    def test_missing_group_names_request_and_groups(self, tmp_path, label):
+        # such a label once loaded an empty table
+        p = write(tmp_path, "q,index,gamma\n7,3,2.5\n7,5,1.5\n7,5,9.0\n", "d.csv")
+        with pytest.raises(ValidationError) as info:
+            load_zero_table(p, kind="dirichlet", label=label)
+        msg = str(info.value)
+        assert f"({label.q}, {label.index})" in msg
+        assert "(7, 3), (7, 5)" in msg
+
+    def test_label_on_header_only_file_fails(self, tmp_path):
+        p = write(tmp_path, "q,index,gamma\n", "d.csv")
+        with pytest.raises(ValidationError, match="none"):
+            load_zero_table(p, kind="dirichlet", label=CharacterLabel(7, 3))
+
+    def test_several_groups_without_label_lists_them(self, tmp_path):
+        p = write(tmp_path, "q,index,gamma\n7,3,2.5\n7,5,1.5\n", "d.csv")
+        with pytest.raises(ValidationError, match=r"2 character groups \(\(7, 3\), \(7, 5\)\)"):
+            load_zero_table(p, kind="dirichlet")
+
+
 class TestWeightedSums:
     def test_single_zero_window(self, zeta_table_small):
         got = exact_weighted_sum(zeta_table_small, lambda t: 1.0 / t, 14.0, 15.0)
