@@ -6,8 +6,7 @@ sieve arithmetic -> verification suites -> CLI.
 """
 
 from .arith import (APCounts, DirichletCharacter, ap_counts, character_table,
-                    psi1_plain, psi_plain, short_interval_psi_delta,
-                    theta_plain, twisted_sum)
+                    psi1_plain, short_interval_psi_delta)
 from .constants import (APConstants, KappaParams, LOG_X0_GRID,
                         REFERENCE_KAPPA, ShortIntervalConstants, SozConstants,
                         TwistedPsiConstants, ap_constants, ap_constants_small,

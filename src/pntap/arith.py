@@ -2,8 +2,10 @@
 
 Segmented prime/von-Mangoldt sieving (numpy), prime-counting and Chebyshev
 functions restricted to residue classes, Dirichlet character tables built
-from the generator logs of the prime-power blocks, and exact twisted sums.
-Everything here is the oracle side: no estimates, only counts.
+from the generator logs of the prime-power blocks, and exact twisted sums:
+the sums of every chi mod q are chi.value_table() @ residue_masses(x, q,
+kind), one sieve pass for the whole group.  Everything here is the oracle
+side: no estimates, only counts.
 
 Every exact sum (ResidueCounter, residue_masses, lambda_sum_interval,
 psi1_plain and the functions built on them) runs through one kernel,
@@ -338,19 +340,6 @@ def ap_counts(x: float, q: int, a: int) -> APCounts:
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 
 
-def psi_plain(x: float) -> float:
-    """Chebyshev psi(x) = sum of Lambda(n) for n <= x."""
-    if x < 2:
-        return 0.0
-    return float(residue_masses(x, 1, "psi")[0])
-
-
-def theta_plain(x: float) -> float:
-    if x < 2:
-        return 0.0
-    return float(residue_masses(x, 1, "theta")[0])
-
-
 def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> float:
     """Sum of Lambda(n) over a < n <= b, by sieving just the window."""
     lo = max(_floor_int(a) + 1, 2)
@@ -551,18 +540,6 @@ def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:
     """sum of values * mass, its real and imaginary parts each by math.fsum."""
     return complex(math.fsum((values.real * mass).tolist()),
                    math.fsum((values.imag * mass).tolist()))
-
-
-def twisted_sum(x: float, chi: DirichletCharacter, kind: str = "psi") -> complex:
-    """Exact twisted sum: sum of chi(n) Lambda(n) (optionally theta- or
-    psi1-weighted) over n <= x.  Empty for x < 2.
-
-    Each call sieves [2, x] once.  For every chi mod q, compute
-    residue_masses(x, q, kind) once and combine it with each value_table.
-    """
-    if x < 2:
-        return 0j
-    return _exact_dot(chi.value_table(), residue_masses(x, chi.q, kind))
 
 
 def psi_from_characters(x: float, q: int, a: int) -> float:

@@ -18,14 +18,16 @@ search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
 
 Reference-table compatibility
 -----------------------------
-The definite integrals feeding the zero-sum constants are evaluated with
-mpmath's default tanh-sinh quadrature pinned to 15 significant digits
-(``_reference_quad``).  On the enormous ranges that arise for
-log x0 >~ 90 that scheme stops converging and saturates; the bundled
-reference tables were produced exactly this way, so the scheme is kept
-bit-for-bit to make table reproduction mechanical.  Treat the large-x0
-rows as reference values tied to this quadrature, not as independently
-certified bounds.
+The definite integrals feeding the zero-sum constants k1, k2 (``_nu_pair``)
+are evaluated with mpmath's default tanh-sinh quadrature pinned to 15
+significant digits (``_reference_quad``), the one shim in the chain.  On
+the enormous ranges that arise for log x0 >~ 90 that scheme stops
+converging and saturates; the bundled reference tables were produced
+exactly this way, so the scheme is kept bit-for-bit to make table
+reproduction mechanical.  Treat the large-x0 rows as reference values tied
+to this quadrature, not as independently certified bounds.  The
+short-interval integral in k4 takes the closed form
+``weight_quarter_sqrt().logt`` instead.
 
 The chain asks for the same integrals many times (every table section
 rebuilds it, and the small-moduli chain shares its sigma6 anchor across
@@ -48,7 +50,7 @@ import mpmath as mp
 from .arith import prime_factors
 from .errors import DomainError, ValidationError
 from .quadrature import exp_integral_ei
-from .zerosum import GAMMA_1, count_remainder_R
+from .zerosum import GAMMA_1, count_remainder_R, weight_quarter_sqrt
 from .zeros import OMEGA_DEFAULT
 
 PI = math.pi
@@ -85,7 +87,7 @@ REFERENCE_KAPPA = {
 }
 
 _MP_QUARTER = mp.mpf(1) / 4
-# `constants --which all` on the default grid asks for 101 distinct
+# `constants --which all` on the default grid asks for 87 distinct
 # (kind, a, b) keys; the bound leaves room for off-grid rows and caps the
 # memory of long-lived callers
 _CACHE_SIZE = 1024
@@ -364,7 +366,8 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
     ell0, ell2, ell3, sigma2_coef, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
     ell1 = (k1e / (kappa0 * PI)) * math.log(k1e / (TWO_PI * math.e * kappa0)) \
         - 7.0 / 4.0 - 2.0 * count_remainder_R(k1e)
-    low_zero_integral = _reference_quad("logt", GAMMA_1, k1e)
+    logt = weight_quarter_sqrt().logt
+    low_zero_integral = logt(k1e) - logt(GAMMA_1)
     ell4 = ell2 * (low_zero_integral / PI
                    + 2.0 * count_remainder_R(k1e) / math.sqrt(0.25 + k1e * k1e)
                    + 2.0 * count_remainder_R(GAMMA_1) / math.sqrt(0.25 + GAMMA_1 ** 2)
@@ -456,41 +459,6 @@ def g2(q: int) -> float:
     if q < 1e30:
         return 317.501 + 0.593 * llq * lq * lq + 0.0758 * math.sqrt(q) * lq + 2.751 * lq
     return 1.777 + 0.593 * llq * lq * lq + 0.000278 * math.sqrt(q) * lq + lq
-
-
-def c_diff_bound(x: float, a_chi: int) -> float:
-    """Bound for the differenced trivial-zero remainder at parity a_chi."""
-    if math.log(x) < 10.0 - 1e-12:
-        raise DomainError("requires log x >= 10")
-    if a_chi not in (0, 1):
-        raise DomainError("a_chi must be 0 or 1")
-    lx = math.log(x)
-    sx = math.sqrt(x)
-    return a_chi / x + (1 - a_chi) * (lx + 1.0 + lx / sx) + 7e-5 / (sx * lx)
-
-
-def trivial_zero_series(x: float, a_chi: int) -> float:
-    """sum_{m>=1} x^(1-2m-a)/((2m+a)(2m-1+a)) for x >= 2.
-
-    Closed form through atanh for modest x; the direct series for large x,
-    where the closed form cancels catastrophically.
-    """
-    if x < 2.0:
-        raise DomainError("requires x >= 2")
-    if a_chi not in (0, 1):
-        raise DomainError("a_chi must be 0 or 1")
-    if x > 30.0:
-        total, m = 0.0, 0
-        while True:
-            m += 1
-            term = x ** (1 - 2 * m - a_chi) / ((2 * m + a_chi) * (2 * m - 1 + a_chi))
-            total += term
-            if term <= 1e-20 * total or m > 60:
-                return total
-    log_sqrt = 0.5 * math.log1p(-1.0 / (x * x))
-    if a_chi == 1:
-        return 1.0 - x * math.atanh(1.0 / x) - log_sqrt
-    return math.atanh(1.0 / x) + x * log_sqrt
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature and the special functions Ei / Li.
 
 The integrator targets max(tol*|I|, tol) and reports a conservative error
-estimate; it is used wherever the constants pipeline needs a definite
-integral with a controlled error budget.  Ei uses the classical power
+estimate.  No program code calls it: it is the tests' independent
+reference for the closed-form integrals, and a layer that the benchmark
+(perfbench) traces.  Ei uses the classical power
 series up to the crossover at 40 and the divergent asymptotic series
 (optimally truncated) beyond it, which keeps every value well inside
 double precision's 12-significant-digit requirement.

@@ -116,16 +116,17 @@ def verify_bpt(zeros: ZeroTable) -> BoundReport:
 
     For each canonical weight (1/t, 1/t^2, (1/4+t^2)^(-1/2)) and range
     (U, V): lhs = |exact - main term|, rhs = the certified budget.  The
-    50 ranges are drawn from DEFAULT_SEED inside
-    [2 pi, min(1000, table height)].
+    50 ranges are drawn from DEFAULT_SEED inside [2 pi, 1000], so the
+    table must reach 1000.
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_bpt needs a zeta table")
+    top = 1000.0
+    if zeros.max_height < top:
+        raise CoverageError(f"table height {zeros.max_height} is below {top:g}, "
+                            f"the top of the sampled ranges")
     t0 = time.perf_counter()
     report = BoundReport("bpt_zero_sum")
-    top = min(1000.0, zeros.max_height)
-    if top <= TWO_PI:
-        raise CoverageError("table too short for randomized ranges")
     for phi, U, V, exact in _seeded_sums(zeros, TWO_PI, top, 50):
         est = bpt_sum(phi, U, V)
         report.add(U, 0, 0, abs(exact - est.main_term), est.error_bound,

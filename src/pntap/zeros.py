@@ -69,6 +69,8 @@ class ZeroTable:
         object.__setattr__(self, "ordinates", ords)
         if self.max_height < (ords[-1] if ords.size else 0.0):
             raise ValidationError("max_height is below the last ordinate")
+        if self.kind == "dirichlet" and ords.size and self.label is None:
+            raise ValidationError("a dirichlet table with zeros needs its character label")
 
     def __len__(self) -> int:
         return int(self.ordinates.size)
@@ -148,10 +150,8 @@ def dump_zero_table(table: ZeroTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "index", "gamma"])
-        q = table.label.q if table.label else 0
-        idx = table.label.index if table.label else 0
         for g in table.ordinates:
-            writer.writerow([q, idx, f"{g:.10f}"])
+            writer.writerow([table.label.q, table.label.index, f"{g:.10f}"])
 
 
 def exact_weighted_sum(

@@ -111,10 +111,6 @@ class SumEstimate:
         if self.error_bound < 0 or self.boundary_terms < 0:
             raise ValidationError("error budgets must be nonnegative")
 
-    @property
-    def estimate(self) -> float:
-        return self.main_term + self.boundary_terms
-
 
 def count_remainder_R(T: float) -> float:
     """Remainder bound for the zeta zero-counting formula, T >= 2*pi.

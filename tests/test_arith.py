@@ -9,10 +9,19 @@ from pntap.arith import (_FOLD_LCM_MAX, DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts,
                          euler_phi,
                          higher_prime_powers,
                          lambda_sum_interval, prime_factors, prime_segments,
-                         psi1_plain, psi_from_characters, psi_plain,
-                         residue_masses, short_interval_psi_delta,
-                         theta_plain, twisted_sum)
+                         psi1_plain, psi_from_characters,
+                         residue_masses, short_interval_psi_delta)
 from pntap.errors import DomainError, ValidationError
+
+
+def psi(x: float) -> float:
+    """Chebyshev psi(x): the one residue class mod 1."""
+    return residue_masses(x, 1, "psi")[0]
+
+
+def twisted(x: float, chi, kind: str) -> complex:
+    """The twisted sum of chi over n <= x from one residue_masses pass."""
+    return chi.value_table() @ residue_masses(x, chi.q, kind)
 
 
 # ------------------------- independent oracles ----------------------------
@@ -144,11 +153,9 @@ class TestSieve:
     # allocating it, so a missing check fails here fast instead of sieving
     @pytest.mark.parametrize("x", [1e40, 1e300])
     def test_x_beyond_sieve_limit_is_domain_error(self, x):
-        chi = character_table(5)[1]
-        calls = [lambda: ap_counts(x, 5, 2), lambda: psi_plain(x),
-                 lambda: theta_plain(x), lambda: residue_masses(x, 7, "psi"),
+        calls = [lambda: ap_counts(x, 5, 2), lambda: residue_masses(x, 7, "psi"),
                  lambda: lambda_sum_interval(x / 2, x), lambda: psi1_plain(x),
-                 lambda: twisted_sum(x, chi), lambda: psi_from_characters(x, 5, 2),
+                 lambda: psi_from_characters(x, 5, 2),
                  lambda: ResidueCounter([3, 4]).counts_at_multi([1e3, x])]
         for call in calls:
             with pytest.raises(DomainError, match="limit"):
@@ -157,7 +164,7 @@ class TestSieve:
     def test_psi_near_x(self):
         # |psi(x) - x| < sqrt(x) log(x)^2 / (8 pi) at a desk-scale point
         x = 100000.0
-        assert abs(psi_plain(x) - x) < math.sqrt(x) * math.log(x) ** 2 / (8 * math.pi)
+        assert abs(psi(x) - x) < math.sqrt(x) * math.log(x) ** 2 / (8 * math.pi)
 
     def test_class_sum_is_psi(self):
         # sum over coprime classes + mass on non-coprime = full psi
@@ -165,7 +172,7 @@ class TestSieve:
         total = math.fsum(ap_counts(x, q, a).psi for a in (1, 5, 7, 11))
         stuck = math.fsum(
             lambda_naive(n) for n in range(2, int(x) + 1) if math.gcd(n, q) > 1)
-        assert total + stuck == pytest.approx(psi_plain(x), abs=1e-8)
+        assert total + stuck == pytest.approx(psi(x), abs=1e-8)
 
 
 def plain_class_sums(x: float, q: int):
@@ -283,7 +290,7 @@ class TestShortInterval:
         for a, b in [(1024, 2187), (1000.5, 1024), (1023, 1024), (1024, 1024),
                      (2187, 3125), (2186.9, 2187.0), (3125, 4000.25)]:
             got = lambda_sum_interval(a, b, segment=64)
-            assert got == pytest.approx(psi_plain(b) - psi_plain(a), abs=1e-9)
+            assert got == pytest.approx(psi(b) - psi(a), abs=1e-9)
 
     def test_definitional_split(self):
         x = 12345.0
@@ -456,16 +463,16 @@ class TestTwistedSums:
     def test_principal_subtracts_shared_factors(self):
         x, q = 3000.0, 12
         chi0 = character_table(q)[0]
-        got = twisted_sum(x, chi0, "psi")
+        got = twisted(x, chi0, "psi")
         stuck = math.fsum(lambda_naive(n) for n in range(2, int(x) + 1)
                           if math.gcd(n, q) > 1)
         assert got.imag == pytest.approx(0.0, abs=1e-12)
-        assert got.real == pytest.approx(psi_plain(x) - stuck, abs=1e-9)
+        assert got.real == pytest.approx(psi(x) - stuck, abs=1e-9)
         assert stuck <= 1.12 * math.log(q) * math.log(x)
 
     def test_empty_below_two(self):
         chi = character_table(5)[1]
-        assert twisted_sum(1.5, chi, "psi") == 0j
+        assert twisted(1.5, chi, "psi") == 0j
 
     def test_orthogonality_reconstruction(self):
         x, q, a = 10000.0, 7, 3
@@ -491,7 +498,7 @@ class TestTwistedSums:
         x = 10000.0
         chi9 = [c for c in character_table(9) if c.conductor == 3][0]
         chi3 = [c for c in character_table(3) if not c.is_principal][0]
-        d = abs(twisted_sum(x, chi9, "psi") - twisted_sum(x, chi3, "psi"))
+        d = abs(twisted(x, chi9, "psi") - twisted(x, chi3, "psi"))
         assert d <= 1.12 * math.log(9) * math.log(x)
 
     def test_theta_and_psi1_kinds(self):
@@ -500,10 +507,10 @@ class TestTwistedSums:
         table = chi.value_table()
         th = sum(table[p % q] * math.log(p)
                  for p in base_primes(int(x)).tolist())
-        assert twisted_sum(x, chi, "theta") == pytest.approx(th, abs=1e-10)
+        assert twisted(x, chi, "theta") == pytest.approx(th, abs=1e-10)
         ps1 = sum(table[n % q] * lambda_naive(n) * (x - n)
                   for n in range(2, int(x) + 1))
-        assert twisted_sum(x, chi, "psi1") == pytest.approx(ps1, abs=1e-8)
+        assert twisted(x, chi, "psi1") == pytest.approx(ps1, abs=1e-8)
 
 
 class TestValidationRecords:

@@ -8,6 +8,7 @@ import pntap.cli as cli
 import pntap.constants as C
 from pntap.errors import DomainError, ValidationError
 from pntap.quadrature import exp_integral_ei
+from pntap.zerosum import GAMMA_1, count_remainder_R
 
 import reference_tables as ref
 
@@ -59,6 +60,32 @@ class TestShortInterval:
         assert si.k3 == si.ell5 + si.ell7
         assert si.k4 == -si.ell6
         assert si.k3 > 0
+
+    @pytest.mark.parametrize("lx0", sorted(C.REFERENCE_KAPPA) + [120.0])
+    def test_ell4_is_the_closed_form(self, lx0):
+        # the integral of log(t/2pi) (1/4+t^2)^(-1/2) over [gamma_1, kappa1 eta]
+        # is F(asinh 2b) - F(asinh 2a), F(u) = u^2/2 - u log 8pi + Li2(e^(-2u))/2
+        si = C.short_interval_constants(lx0, C.kappa_for(lx0))
+        a, b = GAMMA_1, si.kappa.kappa1 * C.splitting_height(lx0)
+        with mp.workdps(40):
+            def F(t):
+                u = mp.asinh(2 * mp.mpf(t))
+                return u * u / 2 - u * mp.log(8 * mp.pi) + mp.polylog(2, mp.exp(-2 * u)) / 2
+
+            def edge(t):
+                return 2 * count_remainder_R(t) / mp.sqrt(mp.mpf(1) / 4 + mp.mpf(t) ** 2)
+
+            ell4 = si.ell2 * ((F(b) - F(a)) / mp.pi + edge(b) + edge(a) + mp.mpf("0.04509"))
+        assert si.ell4 == pytest.approx(float(ell4), rel=1e-12)
+
+    def test_short_interval_needs_no_shim(self, monkeypatch):
+        # the shim serves only the zero-sum integrals of _nu_pair
+        def refuse(*key):
+            raise AssertionError(f"_reference_quad{key} called")
+
+        monkeypatch.setattr(C, "_reference_quad", refuse)
+        for lx0, row in C.REFERENCE_KAPPA.items():
+            assert C.short_interval_constants(lx0, C.KappaParams(*row)).k3 > 0
 
     def test_kappa_validation(self):
         with pytest.raises(ValidationError):
@@ -131,27 +158,6 @@ class TestG2AndHelpers:
     def test_g2_domain(self):
         with pytest.raises(DomainError):
             C.g2(2)
-
-    def test_c_diff_bound(self):
-        x = math.exp(10.0)
-        got = C.c_diff_bound(x, 1)
-        assert got == pytest.approx(1.0 / x + 7e-5 / (math.sqrt(x) * 10.0), rel=1e-12)
-        got0 = C.c_diff_bound(x, 0)
-        assert got0 == pytest.approx(
-            10.0 + 1.0 + 10.0 / math.sqrt(x) + 7e-5 / (math.sqrt(x) * 10.0), rel=1e-12)
-
-    def test_trivial_zero_series_vs_oracle(self):
-        def oracle(x, a, terms=60):
-            return math.fsum(
-                x ** (1 - 2 * m - a) / ((2 * m + a) * (2 * m - 1 + a))
-                for m in range(1, terms + 1))
-        for x in (2.0, 3.5, 10.0, math.exp(10.0)):
-            for a in (0, 1):
-                assert C.trivial_zero_series(x, a) == pytest.approx(
-                    oracle(x, a), rel=1e-12, abs=1e-300)
-        # frozen from the series oracle: x = 2, both parities
-        assert C.trivial_zero_series(2.0, 0) == pytest.approx(0.2616240718822739, rel=1e-12)
-        assert C.trivial_zero_series(2.0, 1) == pytest.approx(0.0452287475577808, rel=1e-10)
 
 
 class TestTwisted:

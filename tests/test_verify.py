@@ -71,6 +71,14 @@ class TestBptSuite:
         with pytest.raises(DomainError):
             verify_bpt(t)
 
+    @pytest.mark.parametrize("ordinates", [(), (3.0, 6.3), (14.1, 999.9)])
+    def test_short_table_is_coverage_error(self, ordinates):
+        # the ranges once shrank to fit the table: on (3.0, 6.3) every one of
+        # them lay in [2 pi, 6.3], which holds no zero, and the suite passed
+        top = max(ordinates, default=0.0)
+        with pytest.raises(CoverageError, match=rf"height {top} is below 1000\b"):
+            verify_bpt(_zeta(*ordinates))
+
 
 def _zeta(*ordinates):
     return ZeroTable("zeta", np.array(ordinates), max(ordinates, default=0.0))

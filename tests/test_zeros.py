@@ -136,6 +136,10 @@ class TestOneReader:
         assert t.kind == kind
         assert len(t) == 0 and t.max_height == 0.0
         assert t.label is None
+        out = tmp_path / "copy.csv"
+        dump_zero_table(t, out)
+        again = load_zero_table(out, kind=kind)
+        assert (again.kind, len(again), again.max_height, again.label) == (kind, 0, 0.0, None)
 
     def test_labelled_dirichlet_roundtrip(self, tmp_path):
         rows = ["7,3,6.0209489055", "7,5,4.1354185622", "7,3,9.5549063941",
@@ -242,6 +246,12 @@ class TestValidation:
     def test_label_coprimality(self):
         with pytest.raises(ValidationError):
             CharacterLabel(9, 3)
+
+    def test_dirichlet_zeros_need_a_label(self):
+        # dump_zero_table once wrote such a table as 0,0,gamma rows, which
+        # load_zero_table rejects
+        with pytest.raises(ValidationError, match="label"):
+            ZeroTable(kind="dirichlet", ordinates=np.array([1.5, 2.5]), max_height=2.5)
 
     def test_table_invariants(self):
         with pytest.raises(ValidationError):

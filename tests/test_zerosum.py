@@ -68,11 +68,6 @@ class TestBpt:
         with pytest.raises(DomainError):
             bpt_sum(weight_inverse(), 30.0, 20.0)
 
-    def test_estimate_decomposition(self):
-        est = bpt_sum(weight_inverse(), 10.0, 100.0)
-        assert est.estimate == est.main_term + est.boundary_terms
-        assert est.error_bound >= est.boundary_terms
-
 
 class TestDirichletCount:
     def test_main_and_remainder(self):
