@@ -4,8 +4,9 @@
 Strategy: locate sign changes of the Riemann-Siegel Z function on a dense
 grid (vectorized main-sum evaluation with the first correction term above
 t=200, mpmath below), then polish each bracket with mpmath's siegelz to
-~1e-11.  A density check against the smooth zero-counting term guards
-against missed pairs.
+~1e-11.  The count of zeros found must equal mpmath.nzeros(HEIGHT), the
+exact number of zeros up to HEIGHT; otherwise the script writes nothing
+and exits 1.
 
 Usage: PYTHONPATH=src python scripts/generate_zeta_zeros.py [HEIGHT] [OUTFILE]
 """
@@ -101,22 +102,12 @@ def main():
         if (j + 1) % 1000 == 0:
             print(f"polished {j+1}/{len(pending)}, {time.time()-t0:.0f}s", flush=True)
 
-    zeros = sorted(set(zeros))
-    # density check: count vs smooth term per block of 100
-    ok = True
-    for b in range(0, int(height) + 100, 500):
-        hi_b = min(b + 500, height)
-        if hi_b <= 20:
-            continue
-        expect = (theta_grid(np.array([hi_b]))[0] - (theta_grid(np.array([max(b, 20.0)]))[0] if b > 20 else -math.pi / 8 - theta_grid(np.array([20.0]))[0] * 0)) / math.pi
-        if b > 20:
-            got = sum(1 for z in zeros if max(b, 20.0) < z <= hi_b)
-            if abs(got - expect) > 1.5:
-                print(f"DENSITY WARNING block [{b},{hi_b}]: got {got} expect {expect:.2f}")
-                ok = False
-    nt = sum(1 for z in zeros if z <= height)
-    smooth = theta_grid(np.array([height]))[0] / math.pi + 1
-    print(f"total zeros <= {height}: {nt}  (smooth estimate {smooth:.2f})  density_ok={ok}")
+    zeros = sorted(z for z in set(zeros) if z <= height)
+    expected = int(mp.nzeros(height))
+    print(f"total zeros <= {height}: {len(zeros)}  (mpmath.nzeros: {expected})")
+    if len(zeros) != expected:
+        print("zero count mismatch: nothing written", file=sys.stderr)
+        sys.exit(1)
 
     dump_zero_table(ZeroTable("zeta", np.array(zeros), max(zeros, default=0.0)), out)
     print(f"wrote {len(zeros)} ordinates to {out} in {time.time()-t0:.0f}s")

@@ -18,7 +18,7 @@ search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
 
 Reference-table compatibility
 -----------------------------
-The definite integrals feeding the zero-sum constants k1, k2 (``_nu_pair``)
+The definite integrals feeding the zero-sum constants k1, k2 (``_zero_sum``)
 are evaluated with mpmath's default tanh-sinh quadrature pinned to 15
 significant digits (``_reference_quad``), the one shim in the chain.  On
 the enormous ranges that arise for log x0 >~ 90 that scheme stops
@@ -61,11 +61,6 @@ SMALL_LOG_X0_MIN = math.log(1.05e7)
 # the largest log x0 whose x0 = exp(log x0) is still a finite float
 LOG_X0_MAX = math.log(sys.float_info.max)
 
-# default log-x0 grid used by the table commands; the small-moduli rows
-# start at the first multiple of ten above log(1.05e7)
-LOG_X0_GRID = (10.0, SMALL_LOG_X0_MIN, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0,
-               80.0, 90.0, 100.0, 150.0, 200.0, 250.0, 500.0)
-
 # Reference tuning parameters (kappa0, kappa1, kappa2) per log x0.  These
 # are regression anchors: evaluating the short-interval constants at a row
 # must reproduce that row, and the optimizer is gated never to do worse.
@@ -85,6 +80,9 @@ REFERENCE_KAPPA = {
     250.0: (0.01566, 222.13937, 3.47886),
     500.0: (0.01254, 347.59407, 4.35967),
 }
+
+# default log-x0 grid of the table commands: the reference rows and log(1.05e7)
+LOG_X0_GRID = tuple(sorted({*REFERENCE_KAPPA, SMALL_LOG_X0_MIN}))
 
 _MP_QUARTER = mp.mpf(1) / 4
 # `constants --which all` on the default grid asks for 87 distinct
@@ -174,9 +172,22 @@ class SozConstants:
                 raise ValidationError("f2 exceeds its 1/(2 pi) cap")
 
 
-def _soz_pieces(log_x0: float):
+def _zero_sum(log_x0: float, lower: float, log_term: float,
+              low_log_q: float, low_const: float) -> SozConstants:
+    """The zero-sum record over the zeros above height lower, for either chain.
+
+    low_log_q log q + low_const bounds the sum over the zeros below lower.
+    log_term is the logarithm in the boundary term 2 (0.247 log_term +
+    6.894) w0 at t = lower.  The reference tables pin the small chain's
+    log(1/(400 pi)), not the log(lower/2 pi) the general chain takes.
+    """
     eta = splitting_height(log_x0)
     sx = math.exp(0.5 * log_x0)
+    w0 = 1.0 / math.sqrt(0.25 + lower * lower)
+    nu1 = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
+    nu2 = _reference_quad("logt", lower, eta) / PI \
+        + 2.0 * (0.247 * log_term + 6.894) * w0 \
+        + 0.247 * _reference_quad("over_t", lower, eta)
     nu3 = 0.494 / eta - math.log(eta) / PI
     nu4 = (math.log(TWO_PI)) ** 2 / TWO_PI - (math.log(eta / TWO_PI)) ** 2 / TWO_PI \
         + 2.0 * (6.894 - 0.247 * math.log(TWO_PI * eta)) / eta + 0.247 / eta
@@ -188,37 +199,20 @@ def _soz_pieces(log_x0: float):
     f2 = fac12 * (1.0 / TWO_PI - llx / (PI * log_x0))
     f3 = fac12 * (0.5850 * llx / log_x0 - 0.2925) \
         + fac32 * (1.0 / TWO_PI + (0.247 * log_x0 + 13.0034) / sx)
-    return eta, sx, nu3, nu4, fac12, fac32, f1, f2, f3
-
-
-def _nu_pair(lower: float, eta: float, log_term: float) -> tuple[float, float]:
-    """nu1 and nu2 of the zero sum over lower <= t <= eta.
-
-    log_term is the logarithm in the boundary term 2 (0.247 log_term +
-    6.894) w0 at t = lower; each chain passes its own, as the reference
-    tables were built.
-    """
-    w0 = 1.0 / math.sqrt(0.25 + lower * lower)
-    nu1 = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
-    nu2 = _reference_quad("logt", lower, eta) / PI \
-        + 2.0 * (0.247 * log_term + 6.894) * w0 \
-        + 0.247 * _reference_quad("over_t", lower, eta)
-    return nu1, nu2
-
-
-def soz_constants(log_x0: float) -> SozConstants:
-    """Zero-sum constants k1(x0), k2(x0) for general moduli, log x0 >= 10."""
-    _require_log_x0(log_x0)
-    eta, sx, nu3, nu4, fac12, fac32, f1, f2, f3 = _soz_pieces(log_x0)
-    lower = 5.0 / 7.0
-    nu1, nu2 = _nu_pair(lower, eta, math.log(lower / TWO_PI))
-    f4 = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1 + nu3 + 0.94873
-    f5 = (nu2 + nu4 + 11.27041) * fac12 - 0.5334
+    f4 = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1 + nu3 + low_log_q
+    f5 = (nu2 + nu4 + low_const) * fac12 - 0.5334
     return SozConstants(
         log_x0=log_x0, nu1=nu1, nu2=nu2, nu3=nu3, nu4=nu4,
         f1=f1, f2=f2, f3=f3, f4=f4, f5=f5,
         k1=f3 + f5 / log_x0, k2=f4,
     )
+
+
+def soz_constants(log_x0: float) -> SozConstants:
+    """Zero-sum constants k1(x0), k2(x0) for general moduli, log x0 >= 10."""
+    _require_log_x0(log_x0)
+    lower = 5.0 / 7.0
+    return _zero_sum(log_x0, lower, math.log(lower / TWO_PI), 0.94873, 11.27041)
 
 
 def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConstants:
@@ -235,17 +229,9 @@ def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConst
     if omega <= 0:
         raise DomainError("omega must be positive")
     base = soz_constants(log_x0)
-    eta, sx, _, _, fac12, fac32, *_ = _soz_pieces(log_x0)
-    nu1_t, nu2_t = _nu_pair(200.0, eta, math.log(1.0 / (400.0 * PI)))
-    f4_t = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1_t + base.nu3
-    f5_t = (omega + nu2_t + base.nu4) * fac12 - 0.5334
-    return replace(
-        base,
-        small_moduli=True,
-        nu1_t=nu1_t, nu2_t=nu2_t,
-        k1_t=base.f3 + f5_t / log_x0, k2_t=f4_t,
-        omega=omega,
-    )
+    tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, omega)
+    return replace(base, small_moduli=True, omega=omega,
+                   nu1_t=tilde.nu1, nu2_t=tilde.nu2, k1_t=tilde.k1, k2_t=tilde.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +512,11 @@ def twisted_psi_constants_small(log_x0: float, soz_small: SozConstants,
         raise DomainError(f"requires log x0 >= {SMALL_LOG_X0_MIN:.6f}")
     if not soz_small.small_moduli:
         raise ValidationError("need a small-moduli zero-sum record")
-    if abs(soz_small.log_x0 - log_x0) > 1e-12 or abs(si.log_x0 - log_x0) > 1e-12:
-        raise ValidationError("records must be computed at the same log x0")
+    base = twisted_psi_constants(log_x0, soz_small, si)
     anchor = soz_small if self_consistent else soz_constants_small(LOG_X0_GRID[-1])
     x = math.exp(log_x0)
     sx = math.sqrt(x)
     lx = log_x0
-    base = twisted_psi_constants(log_x0, soz_small, si)
     sigma6 = anchor.k1_t + 1.0 / sx + 1.0 / x + g2(10 ** 4) / (sx * lx)
     k2t = soz_small.k2_t
     sigma7 = 4.0 * k2t * math.log(10.0) if k2t >= 0 else k2t * math.log(3.0)

@@ -71,6 +71,8 @@ class ZeroTable:
             raise ValidationError("max_height is below the last ordinate")
         if self.kind == "dirichlet" and ords.size and self.label is None:
             raise ValidationError("a dirichlet table with zeros needs its character label")
+        if self.kind == "zeta" and self.label is not None:
+            raise ValidationError("a zeta table carries no character label")
 
     def __len__(self) -> int:
         return int(self.ordinates.size)

@@ -173,8 +173,8 @@ def low_count_twice_bound(q: int) -> float:
 def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int) -> float:
     """Upper bound for the sum of phi over Dirichlet ordinates |gamma| in [U, V].
 
-    (log q/pi) int phi + (1/pi) int phi log(t/2pi)
-        + 2 phi(U) (0.247 log(qU/2pi) + 6.894) + 0.247 int phi/t.
+    (log q/pi) int phi + (1/pi) int phi log(t/2pi) + 2 phi(U) R
+        + 0.247 int phi/t, R the remainder of dirichlet_count_bound(q, U).
 
     V may be math.inf only for the canonical 1/t^2 weight, whose
     antiderivatives vanish at infinity; every other improper sum must be
@@ -192,7 +192,7 @@ def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int) -> float:
     i0, i1, i2 = ((0.0 if math.isinf(V) else F(V)) - F(U)
                   for F in (phi.plain, phi.logt, phi.over_t))
     return (math.log(q) / math.pi) * i0 + i1 / math.pi \
-        + 2.0 * phi(U) * (0.247 * math.log(q * U / TWO_PI) + 6.894) + 0.247 * i2
+        + 2.0 * phi(U) * dirichlet_count_bound(q, U)[1] + 0.247 * i2
 
 
 def tail_inverse_square(T: float) -> float:

@@ -16,7 +16,6 @@ SRC = ROOT / "src" / "pntap"
 # public names no program code calls yet, each kept for a named reason
 ALLOWED = {
     "psi_from_characters": "acceptance criterion 7 reconstructs psi(x; q, a) with it",
-    "dirichlet_count_bound": "ROADMAP item 5 gates the Turing zero count on it",
     "low_count_twice_bound": "ROADMAP item 5 checks it on every primitive character built",
     "omega_low_sum": "ROADMAP item 5 runs it on the Dirichlet zeros built",
 }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,14 @@ class TestSoz:
         _, k1t, _, k2t = ref.SOZ_TABLE[lx0]
         assert ref.close(s.k1_t, k1t)
         assert ref.close(s.k2_t, k2t)
+
+    @pytest.mark.parametrize("lx0", [lx for lx in C.LOG_X0_GRID if lx >= ref.LOG_SMALL])
+    def test_chains_differ_only_in_their_inputs(self, lx0):
+        # the small chain drops 0.94873 log q and starts its zeros at 200
+        g, s = C.soz_constants(lx0), C.soz_constants_small(lx0)
+        assert g.k2 - s.k2_t == pytest.approx(0.94873 + g.nu1 - s.nu1_t, rel=1e-12)
+        assert replace(s, small_moduli=False, nu1_t=None, nu2_t=None,
+                       k1_t=None, k2_t=None) == g
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -79,7 +88,7 @@ class TestShortInterval:
         assert si.ell4 == pytest.approx(float(ell4), rel=1e-12)
 
     def test_short_interval_needs_no_shim(self, monkeypatch):
-        # the shim serves only the zero-sum integrals of _nu_pair
+        # the shim serves only the zero-sum integrals of _zero_sum
         def refuse(*key):
             raise AssertionError(f"_reference_quad{key} called")
 

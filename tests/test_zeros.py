@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,12 @@ class TestLoading:
     def test_bundled_file_matches_literature(self, zeta_table):
         got = zeta_table.ordinates[: len(KNOWN_FIRST_ZEROS)]
         assert np.allclose(got, KNOWN_FIRST_ZEROS, atol=2e-9)
+
+    @pytest.mark.parametrize("T", [100.0, 1000.0, 2500.5, 7777.0, 10050.0])
+    def test_bundled_file_misses_no_zero(self, zeta_table, T):
+        # mpmath counts the zeros up to T exactly; verify count only bounds
+        # |N(T) - smooth| by R(T), which a missing zero can pass
+        assert mp.nzeros(T) == np.searchsorted(zeta_table.ordinates, T, "right")
 
 
 class TestDirichletLoading:
@@ -252,6 +259,11 @@ class TestValidation:
         # load_zero_table rejects
         with pytest.raises(ValidationError, match="label"):
             ZeroTable(kind="dirichlet", ordinates=np.array([1.5, 2.5]), max_height=2.5)
+
+    def test_zeta_table_takes_no_label(self):
+        # dump_zero_table writes a zeta table without its label, so it would not round-trip
+        with pytest.raises(ValidationError, match="label"):
+            ZeroTable("zeta", np.array([14.1]), 14.1, label=CharacterLabel(7, 3))
 
     def test_table_invariants(self):
         with pytest.raises(ValidationError):
