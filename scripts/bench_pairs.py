@@ -113,6 +113,8 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.trace_workload and args.trace_seed is None:
         ap.error("--trace-workload needs --trace-seed")
+    if len(args.seeds) < 2:
+        ap.error("--seeds needs at least two seeds: the quartiles of a side need two runs")
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for i, seed in enumerate(args.seeds):

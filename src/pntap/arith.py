@@ -11,11 +11,17 @@ Every exact sum (ResidueCounter, residue_masses, lambda_sum_interval,
 psi1_plain and the functions built on them) runs through one kernel,
 _lambda_sums: a single prime_segments pass, split at the requested cuts,
 with prime powers added from one sorted array.  prime_segments sieves
-odd numbers only, so a segment's mask is half its width.  The moduli are
-folded into groups whose lcm L stays small: a group pays one % L and two
-bincounts per segment, keeps its per-residue float sums as a vectorised
-Neumaier (sum, compensation) pair of length L, and each member q is
-summed out of the L residues at a cut.  3..30 take 5 such passes, not 28.
+odd numbers only, so a segment's mask is half its width.  Each mask
+starts from a pre-sieved wheel pattern free of the multiples of 3..17;
+the first offsets of the larger base primes are one array expression
+per segment, and the primes with few multiples in a segment are crossed
+off together by one vectorised scatter per round.  The moduli are
+folded into groups whose lcm L stays small: a group pays one residue
+pass (floor-divide, not %) and two bincounts per segment, keeps its
+per-residue float sums as a vectorised Neumaier (sum, compensation) pair
+of length L, and each member q is summed out of the L residues at a cut.
+3..30 take 5 such passes, not 28.  residue_masses keeps its last pass,
+so theta right after psi at the same x and q sieves once.
 
 Character values are carried as exact roots of unity (an exponent modulo
 the group exponent); complex numbers only appear when a sum is finally
@@ -31,6 +37,7 @@ L[q - 1] and the conductor is a product of one rule per prime-power block.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -39,17 +46,27 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-DEFAULT_SEGMENT = 1 << 22
+# A segment of 2^21 integers has a 1 MB mask, which stays in cache: primes
+# to 2e8 took 0.36 s against 0.46 s with 2^22 (2-vCPU Xeon KVM guest), and
+# the pass's peak memory fell with it.
+DEFAULT_SEGMENT = 1 << 21
 # The largest x an exact sum accepts: 2^53, below which every integer n <= x
 # is exact in float64.  The base primes up to sqrt(x) then take a bool array
 # of about 95 MB; far larger x would ask numpy for an array it cannot hold.
 SIEVE_X_MAX = float(2 ** 53)
 # The largest L for which _lambda_sums folds several moduli into one pass of
 # residues mod L.  ResidueCounter(range(3, 31)) at 1e7, 1e8 and 2e8 (2-vCPU
-# Xeon KVM guest, odd-only sieve) took 3.5 s with one pass per modulus and
-# 1.27 s, 1.14 s and 1.17 s with caps 1024, 5040 and 65536 (6, 5 and 3
-# groups): flat over a wide range, so the cap is not critical.
+# Xeon KVM guest, wheel sieve, 2^21 segments) took 0.79-0.80 s, 0.72-0.79 s
+# and 1.09-1.12 s with caps 1024, 5040 and 65536 (6, 5 and 3 groups): a
+# group pays per segment for its length-L vectors, so a large L costs more.
 _FOLD_LCM_MAX = 5040
+# prime_segments starts each segment from a pre-sieved pattern of the odd
+# numbers coprime to these primes, which repeats every 255,255 odd numbers
+_WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+# a base prime with at most this many multiples in a segment goes through
+# the vectorised scatter instead of a slice of its own
+_SCATTER_HITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +111,69 @@ def euler_phi(q: int) -> int:
     return phi
 
 
+def _odd_offsets(p: np.ndarray, o0: int) -> np.ndarray:
+    """For each odd prime p, the least i >= 0 with p | o0 + 2i.
+
+    Since 2 (p + 1)/2 = 1 mod p, that is i = (-o0)(p + 1)/2 mod p.
+    """
+    return (p - o0 % p) * ((p + 1) >> 1) % p
+
+
 def prime_segments(lo: int, hi: int,
                    segment: int = DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in [lo, hi], segment by segment.
 
     Each segment [start, stop) is sieved on its odd numbers only: mask
-    entry i stands for o0 + 2i with o0 = start | 1, so an odd base prime p
-    crosses off every p-th entry from its first odd multiple >= max(p^2,
-    start).  The prime 2 is put in front of the segment that holds it.
+    entry i stands for o0 + 2i with o0 = start | 1.
+
+    - The mask starts as the wheel pattern, in which the multiples of
+      3..17 are already crossed off, rotated to o0 and repeated.  The
+      pattern repeats every _WHEEL = 255,255 odd numbers; it is built once
+      per pass, from the first odd number of the pass, and is no longer
+      than the pass.  The wheel primes themselves are put back.
+    - Every larger base prime p with p^2 < stop crosses off every p-th
+      entry from its first odd multiple >= max(p^2, o0).  Those first
+      offsets are one array expression per segment: the larger of
+      _odd_offsets and the entry (p^2 - o0)/2 of p^2.
+    - A prime with at most about _SCATTER_HITS multiples in the segment
+      is crossed off by a vectorised scatter, all such primes at once,
+      one round per multiple.  A smaller prime takes one strided slice.
+
+    The prime 2 is put in front of the segment that holds it.
     """
     if segment < 1:
         raise DomainError("sieve segment must be >= 1")
     if hi < lo or hi < 2:
         return
     lo = max(lo, 2)
-    odd_bp = base_primes(math.isqrt(hi))[1:].tolist()
+    bp = base_primes(math.isqrt(hi))
+    bp = bp[bp > _WHEEL_PRIMES[-1]]
+    j_lo = (lo | 1) >> 1
+    pattern = np.ones(min((hi + 1) // 2 - j_lo, _WHEEL), dtype=bool)
+    for w, i in zip(_WHEEL_PRIMES, _odd_offsets(np.array(_WHEEL_PRIMES), lo | 1).tolist()):
+        pattern[i:: w] = False
     start = lo
     while start <= hi:
         stop = min(start + segment, hi + 1)
         o0 = start | 1
-        mask = np.ones((stop - o0 + 1) // 2, dtype=bool)
-        for p in odd_bp:
-            if p * p >= stop:
+        n = (stop - o0 + 1) // 2
+        mask = np.resize(np.roll(pattern, j_lo - (o0 >> 1)), n)
+        for w in _WHEEL_PRIMES:
+            if o0 <= w < stop:
+                mask[(w - o0) >> 1] = True
+        p = bp[:np.searchsorted(bp, math.isqrt(stop - 1), side="right")]
+        off = np.maximum(_odd_offsets(p, o0), (p * p - o0) >> 1)
+        few = np.searchsorted(p, -(-n // _SCATTER_HITS))
+        for step, i in zip(p[:few].tolist(), off[:few].tolist()):
+            mask[i:: step] = False
+        p, off = p[few:], off[few:]
+        while True:
+            live = off < n
+            p, off = p[live], off[live]
+            if not off.size:
                 break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            if first < stop:
-                mask[(first - o0) // 2:: p] = False
+            mask[off] = False
+            off += p
         # in place: one array of primes alive, not three
         primes = np.flatnonzero(mask)
         primes *= 2
@@ -145,6 +197,14 @@ def higher_prime_powers(n: int) -> Iterator[tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 # the Lambda-mass kernel
 # ---------------------------------------------------------------------------
+
+def _modulus(q: int) -> int:
+    """q as an int (numpy integers included); q < 1 is a domain error."""
+    q = operator.index(q)
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
+    return q
+
 
 def _floor_int(x: float) -> int:
     """floor(x) as an int; non-finite x or x > SIEVE_X_MAX is a domain error."""
@@ -174,7 +234,10 @@ def _class_sums(n: np.ndarray, w: np.ndarray, q: int) -> tuple[np.ndarray, np.nd
     """
     if q == 1:
         return np.array([n.size]), np.array([w.sum()])
-    res = n % q
+    # n % q for n >= 0, by numpy's faster floor-divide, in one array
+    res = n // q
+    res *= q
+    np.subtract(n, res, out=res)
     return np.bincount(res, minlength=q), np.bincount(res, weights=w, minlength=q)
 
 
@@ -299,9 +362,9 @@ class ResidueCounter:
     """
 
     def __init__(self, q: int | Sequence[int], segment: int = DEFAULT_SEGMENT):
-        qs = [q] if isinstance(q, int) else list(q)
-        if not qs or any(m < 1 for m in qs):
-            raise DomainError("moduli must be >= 1")
+        qs = [_modulus(m) for m in ([q] if isinstance(q, (int, np.integer)) else q)]
+        if not qs:
+            raise DomainError("need at least one modulus")
         if len(set(qs)) != len(qs):
             raise DomainError("duplicate moduli")
         self.qs = qs
@@ -331,8 +394,7 @@ def ap_counts(x: float, q: int, a: int) -> APCounts:
     """Exact pi/theta/psi at x in the class a mod q (q = 1: unrestricted)."""
     if x < 2:
         raise DomainError("requires x >= 2")
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    q = _modulus(q)
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
     pi_q, th_q, ps_q = ResidueCounter(q).counts_at([x])[0]
@@ -525,15 +587,32 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
 
 def residue_masses(x: float, q: int, kind: str) -> np.ndarray:
     """Per-residue mass vector: Lambda(n) (psi), log p on primes (theta),
-    or Lambda(n)(x - n) (psi1), summed over n <= x in each class mod q."""
+    or Lambda(n)(x - n) (psi1), summed over n <= x in each class mod q.
+
+    One kernel pass yields theta and psi together, and the last pass is
+    kept (_last_masses): a call at the same floor(x) and q, and for psi1
+    the same x, returns a fresh copy of a kept vector without sieving, so
+    theta right after psi costs no second pass.
+    """
     if kind not in ("psi", "theta", "psi1"):
         raise DomainError(f"unknown kind {kind!r}")
+    q = _modulus(q)
     n_max = _floor_int(x)
     if n_max < 2:
         return np.zeros(q)
-    (snap,) = _lambda_sums(2, [n_max], [q], x=x if kind == "psi1" else None)
+    theta, psi = _last_masses(n_max, q, x if kind == "psi1" else None)
+    return (theta if kind == "theta" else psi).copy()
+
+
+@lru_cache(maxsize=1)
+def _last_masses(n_max: int, q: int, x: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-residue (theta, psi) mod q over n <= n_max, weighted
+    by (x - n) when x is given: residue_masses' one-entry memo."""
+    (snap,) = _lambda_sums(2, [n_max], [q], x=x)
     _, theta, psi = snap[q]
-    return theta if kind == "theta" else psi
+    theta.flags.writeable = False
+    psi.flags.writeable = False
+    return theta, psi
 
 
 def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:

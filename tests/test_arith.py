@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pntap.arith import (_FOLD_LCM_MAX, DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts,
+import pntap.arith as arith
+from pntap.arith import (_FOLD_LCM_MAX, _WHEEL, DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts,
                          ResidueCounter, _floor_int, _fold_groups, ap_counts,
                          base_primes, character_table,
                          euler_phi,
@@ -210,6 +213,116 @@ class TestOddOnlySegments:
                 for k, part in enumerate(parts):
                     start = max(lo, 2) + k * segment
                     assert np.all((part >= start) & (part < start + segment))
+
+
+@st.composite
+def sieve_windows(draw):
+    """(lo, hi, segment): segments up to past one wheel period of odd
+    numbers, at most 64 of them, from anywhere below 2e5 or from a start
+    that a wheel prime, a wheel prime's square or a period end marks."""
+    segment = draw(st.integers(1, 2 * _WHEEL + 9))
+    lo = draw(st.integers(0, 200_000) | st.sampled_from(
+        [3, 5, 7, 11, 13, 17, 9, 25, 49, 121, 169, 289,
+         _WHEEL - 2, _WHEEL, _WHEEL + 2, 2 * _WHEEL - 1, 2 * _WHEEL + 1, 2 * _WHEEL + 3]))
+    return lo, lo + draw(st.integers(-1, min(64 * segment, 1_100_000))), segment
+
+
+class TestWheelSieve:
+    @settings(max_examples=150, deadline=None)
+    @given(sieve_windows())
+    @example((2, 2 * _WHEEL + 19, 2 * _WHEEL + 9))  # one mask longer than a period
+    @example((_WHEEL - 40, 3 * _WHEEL, 2 * _WHEEL + 9))
+    @example((2 * _WHEEL - 1, 2 * _WHEEL + 99, 7))
+    def test_equals_base_primes(self, window):
+        lo, hi, segment = window
+        parts = list(prime_segments(lo, hi, segment=segment))
+        got = np.concatenate(parts) if parts else np.empty(0, np.int64)
+        want = base_primes(hi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[want >= lo])
+
+    @pytest.mark.parametrize("segment", [1024, DEFAULT_SEGMENT])
+    def test_high_window_against_sympy(self, segment):
+        # the base primes run to 1e6; a 1024-wide segment has 512 mask
+        # entries, so every base prime above 17 goes through the scatter
+        sympy = pytest.importorskip("sympy")
+        lo, hi = 10 ** 12, 10 ** 12 + 20_000
+        want = list(sympy.primerange(lo, hi + 1))
+        got = np.concatenate(list(prime_segments(lo, hi, segment=segment)))
+        assert got.tolist() == want
+        mass = [math.log(p) for p in want if p > lo]
+        for k in range(2, hi.bit_length()):
+            r = sympy.integer_nthroot(hi, k)[0]
+            while r ** k > lo:
+                if sympy.isprime(r):
+                    mass.append(math.log(r))
+                r -= 1
+        assert lambda_sum_interval(lo, hi, segment=segment) == pytest.approx(
+            math.fsum(mass), rel=1e-13)
+
+
+class TestModulusValidation:
+    # below x = 2 no pass runs, so the check must come first
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_q_below_one_is_domain_error(self, q):
+        for call in (lambda: residue_masses(100.0, q, "psi"),
+                     lambda: residue_masses(1.0, q, "theta"),
+                     lambda: ResidueCounter(q), lambda: ResidueCounter([5, q])):
+            with pytest.raises(DomainError, match="q must be >= 1"):
+                call()
+
+    def test_numpy_integer_moduli(self):
+        want = ResidueCounter(7).counts_at([1000.0])[0]
+        for q in (np.int64(7), np.int32(7), [np.int64(7)]):
+            got = ResidueCounter(q).counts_at([1000.0])[0]
+            for u, v in zip(got, want):
+                assert np.array_equal(u, v)
+        assert np.array_equal(residue_masses(1000.0, np.int64(7), "psi"), want[2])
+
+
+class TestResidueMassesMemo:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Arguments of every prime_segments call, from an empty memo on."""
+        arith._last_masses.cache_clear()
+        calls = []
+        original = arith.prime_segments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(arith, "prime_segments", counting)
+        return calls
+
+    def test_theta_after_psi_is_one_pass(self, passes):
+        residue_masses(1e5, 7, "psi")
+        residue_masses(1e5 + 0.5, 7, "theta")
+        assert len(passes) == 1
+
+    def test_new_key_is_a_new_pass(self, passes):
+        keys = [(1e5, 7, "psi"), (1e5, 8, "psi"), (1e5 + 1, 8, "theta"),
+                (1e5 + 1, 8, "psi1"), (1e5 + 1.5, 8, "psi1"), (1e5 + 1, 8, "psi")]
+        for n, key in enumerate(keys, 1):
+            residue_masses(*key)
+            assert len(passes) == n, key
+
+    def test_writing_into_a_result_changes_no_later_one(self, passes):
+        first = residue_masses(1e5, 7, "psi")
+        want = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(residue_masses(1e5, 7, "psi"), want)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("kinds", [("psi", "theta"), ("theta", "psi"), ("psi1", "psi1")])
+    def test_kept_result_equals_a_fresh_pass(self, passes, kinds):
+        first, second = kinds
+        x, q = 54321.5, 12
+        residue_masses(x, q, first)
+        kept = residue_masses(x, q, second)
+        arith._last_masses.cache_clear()
+        assert np.array_equal(kept, residue_masses(x, q, second))
+        assert len(passes) == 2
 
 
 class TestModuliFold:
