@@ -51,7 +51,11 @@ def machine() -> dict:
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
-    out = {"cpu": cpu, "os_cpu_count": os.cpu_count(),
+    # the kernel runs one worker per usable CPU, so its speed follows this
+    # count, which an affinity mask or a container's cpuset can hold below
+    # os_cpu_count
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    out = {"cpu": cpu, "os_cpu_count": os.cpu_count(), "usable_cpus": usable,
            "python": platform.python_version()}
     for name in ("numpy", "mpmath"):
         try:

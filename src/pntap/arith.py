@@ -23,6 +23,13 @@ of length L, and each member q is summed out of the L residues at a cut.
 3..30 take 5 such passes, not 28.  residue_masses keeps its last pass,
 so theta right after psi at the same x and q sieves once.
 
+A pass runs in fixed chunks of 8 segments (2^24 integers) from its
+start, split after the cuts.  Once a pass spans two chunks, the pieces
+run on forked workers, one per usable CPU, and the parent merges their
+sums in order as they arrive.  The pieces and the order of the sums do
+not depend on the CPU count, so neither do the results.  The memory the
+workers hold does not show in the parent's ru_maxrss.
+
 Character values are carried as exact roots of unity (an exponent modulo
 the group exponent); complex numbers only appear when a sum is finally
 evaluated, so long twisted sums do not accumulate phase drift.  All
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -48,8 +56,13 @@ from .errors import DomainError, ValidationError
 
 # A segment of 2^21 integers has a 1 MB mask, which stays in cache: primes
 # to 2e8 took 0.36 s against 0.46 s with 2^22 (2-vCPU Xeon KVM guest), and
-# the pass's peak memory fell with it.
+# the pass's peak memory fell with it.  A kernel pass runs in chunks of
+# _CHUNK_SEGMENTS segments (2^24 integers) on every usable CPU, one forked
+# worker each.  The chunk edges depend only on the pass's ends and the
+# segment, so the results do not depend on the CPU count; what the workers
+# hold does not show in the parent's ru_maxrss.
 DEFAULT_SEGMENT = 1 << 21
+_CHUNK_SEGMENTS = 8
 # The largest x an exact sum accepts: 2^53, below which every integer n <= x
 # is exact in float64.  The base primes up to sqrt(x) then take a bool array
 # of about 95 MB; far larger x would ask numpy for an array it cannot hold.
@@ -119,8 +132,8 @@ def _odd_offsets(p: np.ndarray, o0: int) -> np.ndarray:
     return (p - o0 % p) * ((p + 1) >> 1) % p
 
 
-def prime_segments(lo: int, hi: int,
-                   segment: int = DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
+def prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
+                   base: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in [lo, hi], segment by segment.
 
     Each segment [start, stop) is sieved on its odd numbers only: mask
@@ -139,15 +152,17 @@ def prime_segments(lo: int, hi: int,
       is crossed off by a vectorised scatter, all such primes at once,
       one round per multiple.  A smaller prime takes one strided slice.
 
-    The prime 2 is put in front of the segment that holds it.
+    The prime 2 is put in front of the segment that holds it.  `base`
+    holds the primes up to at least isqrt(hi), when the caller has them
+    (a kernel pass sieves them once for all its chunks).
     """
     if segment < 1:
         raise DomainError("sieve segment must be >= 1")
     if hi < lo or hi < 2:
         return
     lo = max(lo, 2)
-    bp = base_primes(math.isqrt(hi))
-    bp = bp[bp > _WHEEL_PRIMES[-1]]
+    bp = base_primes(math.isqrt(hi)) if base is None else base
+    bp = bp[np.searchsorted(bp, _WHEEL_PRIMES[-1], side="right"):]
     j_lo = (lo | 1) >> 1
     pattern = np.ones(min((hi + 1) // 2 - j_lo, _WHEEL), dtype=bool)
     for w, i in zip(_WHEEL_PRIMES, _odd_offsets(np.array(_WHEEL_PRIMES), lo | 1).tolist()):
@@ -184,9 +199,11 @@ def prime_segments(lo: int, hi: int,
         start = stop
 
 
-def higher_prime_powers(n: int) -> Iterator[tuple[int, int, float]]:
-    """All (p, p^k, log p) with k >= 2 and p^k <= n."""
-    for p in base_primes(math.isqrt(n)).tolist():
+def higher_prime_powers(n: int, base: np.ndarray | None = None
+                        ) -> Iterator[tuple[int, int, float]]:
+    """All (p, p^k, log p) with k >= 2 and p^k <= n; `base`, when given,
+    holds the primes up to isqrt(n)."""
+    for p in (base_primes(math.isqrt(n)) if base is None else base).tolist():
         pk = p * p
         lp = math.log(p)
         while pk <= n:
@@ -272,59 +289,144 @@ def _fold(v: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(v.reshape(-1, q).T).sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class _PieceSums:
+    """The sieve half of one _lambda_sums pass, shared by all its pieces.
+
+    Called with a piece (start, end), it sieves [start, end] and returns
+    the piece's per-residue prime counts (int64) and the Neumaier (sum,
+    compensation) pair of its prime weights, shape (2, width).  The fold
+    groups lie side by side in the width, group g at spans[g] =
+    (offset, L).  The segments keep to the pass's grid, lo + k segment,
+    so a piece that starts after a cut first finishes the segment the
+    cut split, and the per-segment sums are those of an unsplit pass.
+    """
+
+    lo: int
+    base: np.ndarray                    # read-only primes <= isqrt(end of the pass)
+    spans: tuple[tuple[int, int], ...]
+    x: float | None
+    segment: int
+
+    def __call__(self, piece: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        start, end = piece
+        width = sum(big for _, big in self.spans)
+        count = np.zeros(width, dtype=np.int64)
+        mass = np.zeros((2, width))
+        edge = start + (self.lo - start) % self.segment  # the first grid edge >= start
+        ranges = [(start, edge - 1), (edge, end)] if start < edge <= end else [(start, end)]
+        for a, b in ranges:
+            for pr in prime_segments(a, b, segment=self.segment, base=self.base):
+                w = np.log(pr, dtype=np.float64)
+                if self.x is not None:
+                    w *= self.x - pr
+                for off, big in self.spans:
+                    c, m = _class_sums(pr, w, big)
+                    count[off:off + big] += c
+                    _neumaier_add(mass[:, off:off + big], m)
+        return count, mass
+
+
+# the pass a forked kernel worker serves; set in each worker by _start_worker
+_worker_sums: _PieceSums | None = None
+
+
+def _start_worker(sums: _PieceSums) -> None:
+    global _worker_sums
+    _worker_sums = sums
+
+
+def _worker_piece(piece: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return _worker_sums(piece)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
                  x: float | None = None, segment: int = DEFAULT_SEGMENT
                  ) -> Iterator[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per-residue (pi, theta, psi) over lo <= n <= cut, at each ascending cut.
+    """Per-residue (pi, theta, psi) over lo <= n <= cut, at each cut.
 
-    One sieve pass over [lo, cuts[-1]]; a segment's primes are split at the
-    cuts that fall inside it.  A prime p weighs log p, a prime power p^k
-    (k >= 2, psi only) weighs log p; with x given both weights are scaled
-    by (x - n).  The moduli are folded into groups (_fold_groups); each
-    group keeps a count vector and a compensated sum of the prime weights
-    mod its L, and each member is folded out of them at a cut, where the
+    The cuts ascend from lo.  One sieve pass covers [lo, cuts[-1]] in
+    fixed chunks of _CHUNK_SEGMENTS segments from lo on, and each chunk
+    is split after the cuts inside it; a piece (_PieceSums) returns its
+    own per-residue counts and Neumaier pair.  A prime p weighs log p, a
+    prime power p^k (k >= 2, psi only) weighs log p; with x given both
+    weights are scaled by (x - n).  The moduli are folded into groups
+    (_fold_groups) whose per-residue sums mod L lie side by side.  Here
+    the pieces are added in order, the counts exactly and the pairs by
+    Neumaier; at a cut each member is folded out of its group and the
     prime powers up to the cut are added.
+
+    A pass of two chunks or more runs its pieces in a pool of forked
+    workers, one per usable CPU up to one per chunk, and merges each
+    result as it arrives; otherwise, with a single usable CPU, in a
+    daemonic process or without fork, the pieces run here.  The pieces and the order of the sums are
+    the same either way, so the results do not depend on the CPU count.
+    The base primes are sieved once per pass; the workers inherit them.
     """
     hi = cuts[-1]
-    pairs = sorted((pk, lp) for _, pk, lp in higher_prime_powers(hi) if pk >= lo)
+    base = base_primes(math.isqrt(hi))
+    base.flags.writeable = False
+    pairs = sorted((pk, lp) for _, pk, lp in higher_prime_powers(hi, base) if pk >= lo)
     pk = np.array([pk for pk, _ in pairs], dtype=np.int64)
     lp = np.array([lp for _, lp in pairs], dtype=np.float64)
     if x is not None:
         lp = lp * (x - pk)
-    acc = [(members, np.zeros(big, dtype=np.int64), np.zeros((2, big)))
-           for big, members in _fold_groups(moduli)]
+    groups = _fold_groups(moduli)
+    offsets = np.cumsum([0] + [big for big, _ in groups]).tolist()
+    sums = _PieceSums(lo, base, tuple(zip(offsets, (big for big, _ in groups))), x, segment)
+    step = _CHUNK_SEGMENTS * segment
+    ends = sorted({*range(lo + step - 1, hi, step), *cuts})
+    pieces = list(zip([lo] + [e + 1 for e in ends[:-1]], ends))
 
-    def add_primes(pr, w):
-        for _, pi, theta in acc:
-            count, mass = _class_sums(pr, w, pi.size)
-            pi += count
-            _neumaier_add(theta, mass)
-
-    def snapshot(cut):
+    def snapshot(cut, count, mass):
         upto = int(np.searchsorted(pk, cut, side="right"))
         out = {}
-        for members, pi, theta in acc:
-            total = theta[0] + theta[1]
+        for (off, big), (_, members) in zip(sums.spans, groups):
+            pi = count[off:off + big]
+            total = mass[0, off:off + big] + mass[1, off:off + big]
             for q in members:
                 th = _fold(total, q)
                 out[q] = (_fold(pi, q), th, th + _class_sums(pk[:upto], lp[:upto], q)[1])
         return out
 
-    i = 0  # next cut to report
-    for pr in prime_segments(lo, hi, segment=segment):
-        w = np.log(pr, dtype=np.float64)
-        if x is not None:
-            w *= x - pr
-        start = 0
-        while i < len(cuts) and pr.size and pr[-1] > cuts[i]:
-            stop = int(np.searchsorted(pr, cuts[i], side="right"))
-            add_primes(pr[start:stop], w[start:stop])
-            start = stop
-            yield snapshot(cuts[i])
-            i += 1
-        add_primes(pr[start:], w[start:])
-    for cut in cuts[i:]:
-        yield snapshot(cut)
+    def merged(results):
+        count = np.zeros(offsets[-1], dtype=np.int64)
+        mass = np.zeros((2, offsets[-1]))
+        i = 0  # next cut to report
+        for _, end in pieces:
+            piece_count, piece_mass = next(results)
+            count += piece_count
+            _neumaier_add(mass, piece_mass[0])
+            mass[1] += piece_mass[1]
+            # free a piece's sums before the next one arrives
+            del piece_count, piece_mass
+            while i < len(cuts) and cuts[i] == end:
+                yield snapshot(end, count, mass)
+                i += 1
+
+    chunks = -(-(hi - lo + 1) // step)
+    workers = min(chunks, _usable_cpus())
+    if workers >= 2:
+        # imported here, as its import takes about 12 ms
+        import multiprocessing
+        # a daemonic process, such as a worker of the caller's own pool, may
+        # not start processes.  fork, not spawn: a worker starts with the
+        # modules imported and the base primes in memory, where spawn would
+        # import and pickle them again
+        if (not multiprocessing.current_process().daemon
+                and "fork" in multiprocessing.get_all_start_methods()):
+            with multiprocessing.get_context("fork").Pool(
+                    workers, initializer=_start_worker, initargs=(sums,)) as pool:
+                yield from merged(pool.imap(_worker_piece, pieces))
+            return
+    yield from merged(map(sums, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +519,9 @@ def short_interval_psi_delta(x: float) -> float:
     if x < 2:
         raise DomainError("requires x >= 2")
     h = math.sqrt(x) * math.log(x)
+    if x + h > SIEVE_X_MAX:
+        raise DomainError(f"the window of x = {x!r} ends at x + sqrt(x) log x = {x + h!r}, "
+                          f"beyond the sieve's limit {SIEVE_X_MAX:.6g}")
     return lambda_sum_interval(x, x + h) - h
 
 

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
@@ -280,21 +283,23 @@ class TestModulusValidation:
         assert np.array_equal(residue_masses(1000.0, np.int64(7), "psi"), want[2])
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """Arguments of every prime_segments call made in this process, from an
+    empty residue_masses memo on."""
+    arith._last_masses.cache_clear()
+    calls = []
+    original = arith.prime_segments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "prime_segments", counting)
+    return calls
+
+
 class TestResidueMassesMemo:
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        """Arguments of every prime_segments call, from an empty memo on."""
-        arith._last_masses.cache_clear()
-        calls = []
-        original = arith.prime_segments
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(arith, "prime_segments", counting)
-        return calls
-
     def test_theta_after_psi_is_one_pass(self, passes):
         residue_masses(1e5, 7, "psi")
         residue_masses(1e5 + 0.5, 7, "theta")
@@ -384,6 +389,133 @@ class TestModuliFold:
                 assert abs(ps_q[r] - psi) <= 1e-14 * psi, (q, r)
 
 
+def usable_cpus(monkeypatch, cpus):
+    """Make the kernel see `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestChunkedPass:
+    # segments of 64 make chunks of 512 integers: [2, 513], [514, 1025], ...
+    SEGMENT = 64
+    MODULI = [1, 3, 4, 30, 9973]
+
+    def run(self, xs, moduli=MODULI):
+        return ResidueCounter(moduli, segment=self.SEGMENT).counts_at_multi(xs)
+
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, passes):
+        # 2e4 spans 40 chunks; with three usable CPUs the pieces all run in
+        # workers, so this process sieves nothing
+        xs = [700.5, 1025.0, 5000.0, 2.0e4]
+        runs = {}
+        for cpus in (1, arith._usable_cpus(), 3):
+            usable_cpus(monkeypatch, cpus)
+            passes.clear()
+            runs[cpus] = (self.run(xs), lambda_sum_interval(1000.5, 2.0e4, segment=self.SEGMENT))
+            assert bool(passes) == (cpus == 1), cpus
+        want_snaps, want_window = runs.pop(1)
+        for snaps, window in runs.values():
+            assert window == want_window
+            for q in self.MODULI:
+                for got, want in zip(snaps[q], want_snaps[q]):
+                    for u, v in zip(got, want):
+                        assert u.dtype == v.dtype and np.array_equal(u, v)
+
+    def test_cuts_on_and_inside_chunks_against_plain_sieve(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        # the first and the last integer of chunk 1, duplicated; several cuts
+        # inside chunk 2, one of them inside a segment; a cut far beyond
+        xs = [514.0, 1025.0, 1025.0, 1100.0, 1151.0, 1400.5, 1537.0, 5000.0]
+        snaps = self.run(xs)
+        for q in self.MODULI:
+            assert len(snaps[q]) == len(xs)
+            for x, (pi_q, th_q, ps_q) in zip(xs, snaps[q]):
+                pi, theta, psi = plain_class_sums(x, q)
+                assert np.array_equal(pi_q, pi), (q, x)
+                assert np.allclose(th_q, theta, rtol=0, atol=1e-9), (q, x)
+                assert np.allclose(ps_q, psi, rtol=0, atol=1e-9), (q, x)
+
+    @staticmethod
+    def unchunked_theta(cuts, q, segment):
+        """theta per residue mod q at each cut from one pass in this
+        process: segments from 2 on, split at the cuts, their sums added
+        in order by Neumaier."""
+        acc, out, i = np.zeros((2, q)), [], 0
+        for pr in prime_segments(2, cuts[-1], segment=segment):
+            w = np.log(pr, dtype=np.float64)
+            start = 0
+            while i < len(cuts) and pr.size and pr[-1] > cuts[i]:
+                stop = int(np.searchsorted(pr, cuts[i], side="right"))
+                arith._neumaier_add(acc, arith._class_sums(pr[start:stop], w[start:stop], q)[1])
+                start = stop
+                out.append(acc[0] + acc[1])
+                i += 1
+            arith._neumaier_add(acc, arith._class_sums(pr[start:], w[start:], q)[1])
+        return out + [acc[0] + acc[1]] * (len(cuts) - i)
+
+    @pytest.mark.parametrize("q", [7, 9973])
+    def test_same_bits_as_an_unchunked_pass(self, monkeypatch, q):
+        # the pieces keep to the pass's segment grid, so their sums are
+        # those of one unchunked pass; segments of 4096 hold enough primes
+        # per residue for a sum over another split to round otherwise
+        usable_cpus(monkeypatch, 3)
+        segment = 4096
+        cuts = [32769, 40000, 40000, 50001, 61234, 100003, 300000]
+        want = self.unchunked_theta(cuts, q, segment)
+        snaps = ResidueCounter(q, segment=segment).counts_at([float(c) for c in cuts])
+        for (_, theta, _), ref in zip(snaps, want):
+            assert np.array_equal(theta, ref)
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Three usable CPUs, and starting a pool raises."""
+        usable_cpus(monkeypatch, 3)
+
+        def pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", pool)
+
+    def test_one_chunk_starts_no_process(self, no_pool):
+        # up to 513 is chunk 0, however many cuts split it
+        self.run([100.0, 200.0, 513.0])
+        lambda_sum_interval(600.0, 1111.0, segment=self.SEGMENT)
+        residue_masses(1.0e6 + 0.25, 1001, "psi1")
+        # one integer past the chunk does start one
+        with pytest.raises(AssertionError, match="pool was started"):
+            self.run([514.0])
+
+    def test_daemon_process_runs_the_pass_itself(self, monkeypatch, no_pool):
+        # a daemonic process, e.g. a worker of the caller's own pool, may
+        # not start processes
+        monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+        want = plain_class_sums(5000.0, 30)[0]
+        assert np.array_equal(self.run([5000.0], moduli=[30])[30][0][0], want)
+
+    def test_early_close_leaves_no_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        passes = arith._lambda_sums(2, [600, 3000, 9000], [3, 4], segment=self.SEGMENT)
+        first = next(passes)
+        assert int(first[3][0].sum()) == 109  # pi(600)
+        assert multiprocessing.active_children()
+        passes.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        original = arith._class_sums
+
+        def fails_in_workers(n, w, q):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker failed")
+            return original(n, w, q)
+
+        monkeypatch.setattr(arith, "_class_sums", fails_in_workers)
+        with pytest.raises(RuntimeError, match="a worker failed"):
+            self.run([700.0, 5000.0])
+        assert multiprocessing.active_children() == []
+
+
 class TestShortInterval:
     def test_brute_force_window(self):
         x = 1.0e6
@@ -404,6 +536,12 @@ class TestShortInterval:
                      (2187, 3125), (2186.9, 2187.0), (3125, 4000.25)]:
             got = lambda_sum_interval(a, b, segment=64)
             assert got == pytest.approx(psi(b) - psi(a), abs=1e-9)
+
+    def test_window_beyond_the_limit_names_x_and_its_end(self):
+        # x itself is below 2^53, the end of its window is not
+        x = 2.0 ** 53 - 1e6
+        with pytest.raises(DomainError, match=r"9007199253740992\.0.*9007202740293544\.0.*limit"):
+            short_interval_psi_delta(x)
 
     def test_definitional_split(self):
         x = 12345.0

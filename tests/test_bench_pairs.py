@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from scripts import bench_pairs
@@ -14,3 +16,10 @@ def test_one_seed_is_an_error_before_any_run(monkeypatch, tmp_path):
     assert exit_info.value.code == 2
     assert runs == []
     assert not out.exists()
+
+
+def test_machine_records_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    info = bench_pairs.machine()
+    assert info["usable_cpus"] == 2
+    assert info["os_cpu_count"] == os.cpu_count()
