@@ -46,6 +46,8 @@ from __future__ import annotations
 import math
 import operator
 import os
+import signal
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -327,17 +329,58 @@ class _PieceSums:
         return count, mass
 
 
-# the pass a forked kernel worker serves; set in each worker by _start_worker
-_worker_sums: _PieceSums | None = None
+def _serve(sums: _PieceSums, pieces: list[tuple[int, int]], send) -> None:
+    """A forked kernel worker: send the sums of its pieces in order, or its error."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    try:
+        for piece in pieces:
+            send.send((True, sums(piece)))
+    except Exception as exc:
+        send.send((False, exc))
 
 
-def _start_worker(sums: _PieceSums) -> None:
-    global _worker_sums
-    _worker_sums = sums
+def _forked(sums: _PieceSums, pieces: list[tuple[int, int]], owner: list[int],
+            workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The sums of the pieces, in order, from `workers` forked processes.
 
-
-def _worker_piece(piece: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return _worker_sums(piece)
+    Process w works the pieces i with owner[i] == w, in order, and writes
+    them to a pipe of its own.  No lock or queue is shared, so stopping a
+    process at any point, even halfway through a write, blocks neither
+    another process nor this one; multiprocessing.Pool.terminate can
+    deadlock there.  A process that ends before sending a piece raises
+    RuntimeError here.  Closing the generator stops every process.
+    """
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            mine = [p for p, o in zip(pieces, owner) if o == w]
+            proc = ctx.Process(target=_serve, args=(sums, mine, send), daemon=True)
+            try:
+                proc.start()
+            finally:
+                send.close()  # the worker holds the only write end: its exit reads as EOF
+            procs.append(proc)
+        for w in owner:
+            try:
+                ok, result = conns[w].recv()
+            except EOFError:
+                procs[w].join()
+                raise RuntimeError(f"a kernel worker ended with exit code "
+                                   f"{procs[w].exitcode} before sending its sums") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _usable_cpus() -> int:
@@ -363,11 +406,12 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
     Neumaier; at a cut each member is folded out of its group and the
     prime powers up to the cut are added.
 
-    A pass of two chunks or more runs its pieces in a pool of forked
-    workers, one per usable CPU up to one per chunk, and merges each
+    A pass of two chunks or more runs its pieces on forked workers
+    (_forked), one per usable CPU up to one per chunk, and merges each
     result as it arrives; otherwise, with a single usable CPU, in a
-    daemonic process or without fork, the pieces run here.  The pieces and the order of the sums are
-    the same either way, so the results do not depend on the CPU count.
+    daemonic process or without fork, the pieces run here.  The pieces
+    and the order of the sums are the same either way, so the results do
+    not depend on the CPU count.
     The base primes are sieved once per pass; the workers inherit them.
     """
     hi = cuts[-1]
@@ -422,9 +466,10 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
         # import and pickle them again
         if (not multiprocessing.current_process().daemon
                 and "fork" in multiprocessing.get_all_start_methods()):
-            with multiprocessing.get_context("fork").Pool(
-                    workers, initializer=_start_worker, initargs=(sums,)) as pool:
-                yield from merged(pool.imap(_worker_piece, pieces))
+            # whole chunks go round the workers, so each sieves on in its own range
+            owner = [(start - lo) // step % workers for start, _ in pieces]
+            with closing(_forked(sums, pieces, owner, workers)) as results:
+                yield from merged(results)
             return
     yield from merged(map(sums, pieces))
 

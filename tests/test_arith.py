@@ -1,7 +1,8 @@
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -402,6 +403,19 @@ class TestChunkedPass:
     def run(self, xs, moduli=MODULI):
         return ResidueCounter(moduli, segment=self.SEGMENT).counts_at_multi(xs)
 
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """A test whose workers stall fails after 60 s, and does not hang.
+        Not TimeoutError: an OSError, which multiprocessing's join swallows."""
+        def expire(signum, frame):
+            pytest.fail("the test ran for 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_same_bits_on_any_cpu_count(self, monkeypatch, passes):
         # 2e4 spans 40 chunks; with three usable CPUs the pieces all run in
         # workers, so this process sieves nothing
@@ -466,52 +480,75 @@ class TestChunkedPass:
             assert np.array_equal(theta, ref)
 
     @pytest.fixture
-    def no_pool(self, monkeypatch):
-        """Three usable CPUs, and starting a pool raises."""
+    def no_process(self, monkeypatch):
+        """Three usable CPUs, and starting a process raises."""
         usable_cpus(monkeypatch, 3)
 
-        def pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        def start(self):
+            raise AssertionError("a process was started")
 
-        monkeypatch.setattr(multiprocessing.pool, "Pool", pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
 
-    def test_one_chunk_starts_no_process(self, no_pool):
+    def test_one_chunk_starts_no_process(self, no_process):
         # up to 513 is chunk 0, however many cuts split it
         self.run([100.0, 200.0, 513.0])
         lambda_sum_interval(600.0, 1111.0, segment=self.SEGMENT)
         residue_masses(1.0e6 + 0.25, 1001, "psi1")
         # one integer past the chunk does start one
-        with pytest.raises(AssertionError, match="pool was started"):
+        with pytest.raises(AssertionError, match="process was started"):
             self.run([514.0])
 
-    def test_daemon_process_runs_the_pass_itself(self, monkeypatch, no_pool):
+    def test_daemon_process_runs_the_pass_itself(self, monkeypatch, no_process):
         # a daemonic process, e.g. a worker of the caller's own pool, may
         # not start processes
         monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
         want = plain_class_sums(5000.0, 30)[0]
         assert np.array_equal(self.run([5000.0], moduli=[30])[30][0][0], want)
 
-    def test_early_close_leaves_no_process(self, monkeypatch):
-        usable_cpus(monkeypatch, 3)
-        passes = arith._lambda_sums(2, [600, 3000, 9000], [3, 4], segment=self.SEGMENT)
-        first = next(passes)
-        assert int(first[3][0].sum()) == 109  # pi(600)
-        assert multiprocessing.active_children()
-        passes.close()
-        assert multiprocessing.active_children() == []
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        usable_cpus(monkeypatch, 3)
+    @staticmethod
+    def in_workers(monkeypatch, act):
+        """Make the workers call act(primes) before each residue sum."""
         parent = os.getpid()
         original = arith._class_sums
 
-        def fails_in_workers(n, w, q):
+        def class_sums(n, w, q):
             if os.getpid() != parent:
-                raise RuntimeError("a worker failed")
+                act(n)
             return original(n, w, q)
 
-        monkeypatch.setattr(arith, "_class_sums", fails_in_workers)
+        monkeypatch.setattr(arith, "_class_sums", class_sums)
+
+    def test_early_close_leaves_no_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        # past the first cut the workers stall, so they are busy at the close
+        self.in_workers(monkeypatch, lambda n: n.size and n[0] > 600 and time.sleep(60))
+        passes = arith._lambda_sums(2, [600, 3000, 9000], [3, 4], segment=self.SEGMENT)
+        first = next(passes)
+        assert int(first[3][0].sum()) == 109  # pi(600)
+        assert len(multiprocessing.active_children()) == 3
+        began = time.monotonic()
+        passes.close()
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - began < 30
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+
+        def fail(n):
+            raise RuntimeError("a worker failed")
+
+        self.in_workers(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="a worker failed"):
+            self.run([700.0, 5000.0])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_reaches_the_caller(self, monkeypatch):
+        # a worker that ends without a word, as one the OS kills would; with
+        # two CPUs the last worker started ends, so this process must not
+        # keep its pipe open
+        usable_cpus(monkeypatch, 2)
+        self.in_workers(monkeypatch, lambda n: n.size and n[0] > 600 and os._exit(3))
+        with pytest.raises(RuntimeError, match="exit code 3"):
             self.run([700.0, 5000.0])
         assert multiprocessing.active_children() == []
 
