@@ -24,11 +24,12 @@ of length L, and each member q is summed out of the L residues at a cut.
 so theta right after psi at the same x and q sieves once.
 
 A pass runs in fixed chunks of 8 segments (2^24 integers) from its
-start, split after the cuts.  Once a pass spans two chunks, the pieces
-run on forked workers, one per usable CPU, and the parent merges their
-sums in order as they arrive.  The pieces and the order of the sums do
-not depend on the CPU count, so neither do the results.  The memory the
-workers hold does not show in the parent's ru_maxrss.
+start.  Every segment is sieved whole and its primes are split at the
+cuts inside it.  Once a pass spans two chunks, the chunks run on forked
+workers, one per usable CPU, and the parent merges their sums in order
+as they arrive.  The chunks and the order of the sums do not depend on
+the CPU count, so neither do the results.  The memory the workers hold
+does not show in the parent's ru_maxrss.
 
 Character values are carried as exact roots of unity (an exponent modulo
 the group exponent); complex numbers only appear when a sum is finally
@@ -50,7 +51,7 @@ import signal
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,10 +60,8 @@ from .errors import DomainError, ValidationError
 # A segment of 2^21 integers has a 1 MB mask, which stays in cache: primes
 # to 2e8 took 0.36 s against 0.46 s with 2^22 (2-vCPU Xeon KVM guest), and
 # the pass's peak memory fell with it.  A kernel pass runs in chunks of
-# _CHUNK_SEGMENTS segments (2^24 integers) on every usable CPU, one forked
-# worker each.  The chunk edges depend only on the pass's ends and the
-# segment, so the results do not depend on the CPU count; what the workers
-# hold does not show in the parent's ru_maxrss.
+# _CHUNK_SEGMENTS segments, the unit of work of its forked workers (see
+# the module docstring).
 DEFAULT_SEGMENT = 1 << 21
 _CHUNK_SEGMENTS = 8
 # The largest x an exact sum accepts: 2^53, below which every integer n <= x
@@ -291,89 +290,60 @@ def _fold(v: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(v.reshape(-1, q).T).sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class _PieceSums:
-    """The sieve half of one _lambda_sums pass, shared by all its pieces.
-
-    Called with a piece (start, end), it sieves [start, end] and returns
-    the piece's per-residue prime counts (int64) and the Neumaier (sum,
-    compensation) pair of its prime weights, shape (2, width).  The fold
-    groups lie side by side in the width, group g at spans[g] =
-    (offset, L).  The segments keep to the pass's grid, lo + k segment,
-    so a piece that starts after a cut first finishes the segment the
-    cut split, and the per-segment sums are those of an unsplit pass.
-    """
-
-    lo: int
-    base: np.ndarray                    # read-only primes <= isqrt(end of the pass)
-    spans: tuple[tuple[int, int], ...]
-    x: float | None
-    segment: int
-
-    def __call__(self, piece: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        start, end = piece
-        width = sum(big for _, big in self.spans)
-        count = np.zeros(width, dtype=np.int64)
-        mass = np.zeros((2, width))
-        edge = start + (self.lo - start) % self.segment  # the first grid edge >= start
-        ranges = [(start, edge - 1), (edge, end)] if start < edge <= end else [(start, end)]
-        for a, b in ranges:
-            for pr in prime_segments(a, b, segment=self.segment, base=self.base):
-                w = np.log(pr, dtype=np.float64)
-                if self.x is not None:
-                    w *= self.x - pr
-                for off, big in self.spans:
-                    c, m = _class_sums(pr, w, big)
-                    count[off:off + big] += c
-                    _neumaier_add(mass[:, off:off + big], m)
-        return count, mass
+_Part = tuple[int, np.ndarray, np.ndarray]  # (end, counts, Neumaier pair)
 
 
-def _serve(sums: _PieceSums, pieces: list[tuple[int, int]], send) -> None:
-    """A forked kernel worker: send the sums of its pieces in order, or its error."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
-    try:
-        for piece in pieces:
-            send.send((True, sums(piece)))
-    except Exception as exc:
-        send.send((False, exc))
+def _forked(work: Callable[[tuple[int, int]], Iterator[_Part]],
+            chunks: list[tuple[int, int]], workers: int) -> Iterator[_Part]:
+    """The parts of every chunk, in order, from `workers` forked processes.
 
-
-def _forked(sums: _PieceSums, pieces: list[tuple[int, int]], owner: list[int],
-            workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The sums of the pieces, in order, from `workers` forked processes.
-
-    Process w works the pieces i with owner[i] == w, in order, and writes
-    them to a pipe of its own.  No lock or queue is shared, so stopping a
+    Process w works the chunks chunks[w::workers] in order and sends each
+    part that work(chunk) yields as its own message, down a pipe of its
+    own; the parts of chunk i are read from process i % workers until one
+    ends at the chunk's end.  No lock or queue is shared, so stopping a
     process at any point, even halfway through a write, blocks neither
-    another process nor this one; multiprocessing.Pool.terminate can
-    deadlock there.  A process that ends before sending a piece raises
-    RuntimeError here.  Closing the generator stops every process.
+    another process nor this one;
+    multiprocessing.Pool.terminate can deadlock there.  A process that
+    ends before sending a part raises RuntimeError here.  Closing the
+    generator stops every process.
     """
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
+
+    def serve(mine, send):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+        try:
+            for chunk in mine:
+                for part in work(chunk):
+                    send.send((True, part))
+        except Exception as exc:
+            send.send((False, exc))
+
     procs, conns = [], []
     try:
         for w in range(workers):
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
-            mine = [p for p, o in zip(pieces, owner) if o == w]
-            proc = ctx.Process(target=_serve, args=(sums, mine, send), daemon=True)
+            proc = ctx.Process(target=serve, args=(chunks[w::workers], send), daemon=True)
             try:
                 proc.start()
             finally:
                 send.close()  # the worker holds the only write end: its exit reads as EOF
             procs.append(proc)
-        for w in owner:
-            try:
-                ok, result = conns[w].recv()
-            except EOFError:
-                procs[w].join()
-                raise RuntimeError(f"a kernel worker ended with exit code "
-                                   f"{procs[w].exitcode} before sending its sums") from None
-            if not ok:
-                raise result
-            yield result
+        for i, (_, end) in enumerate(chunks):
+            w = i % workers
+            part_end = None
+            while part_end != end:
+                try:
+                    ok, part = conns[w].recv()
+                except EOFError:
+                    procs[w].join()
+                    raise RuntimeError(f"a kernel worker ended with exit code "
+                                       f"{procs[w].exitcode} before sending its sums") from None
+                if not ok:
+                    raise part
+                part_end = part[0]
+                yield part
     finally:
         for proc in procs:
             proc.terminate()
@@ -396,22 +366,23 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
     """Per-residue (pi, theta, psi) over lo <= n <= cut, at each cut.
 
     The cuts ascend from lo.  One sieve pass covers [lo, cuts[-1]] in
-    fixed chunks of _CHUNK_SEGMENTS segments from lo on, and each chunk
-    is split after the cuts inside it; a piece (_PieceSums) returns its
-    own per-residue counts and Neumaier pair.  A prime p weighs log p, a
-    prime power p^k (k >= 2, psi only) weighs log p; with x given both
-    weights are scaled by (x - n).  The moduli are folded into groups
+    fixed chunks of _CHUNK_SEGMENTS segments from lo on.  work(chunk)
+    sieves every segment of a chunk whole, splits its primes at the cuts
+    inside it, and yields one part (end, counts, Neumaier pair) for each
+    stretch that ends at a cut or at the chunk's end.  A prime p weighs
+    log p, a prime power p^k (k >= 2, psi only) weighs log p; with x given
+    both weights are scaled by (x - n).  The moduli are folded into groups
     (_fold_groups) whose per-residue sums mod L lie side by side.  Here
-    the pieces are added in order, the counts exactly and the pairs by
+    the parts are added in order, the counts exactly and the pairs by
     Neumaier; at a cut each member is folded out of its group and the
     prime powers up to the cut are added.
 
-    A pass of two chunks or more runs its pieces on forked workers
+    A pass of two chunks or more runs its chunks on forked workers
     (_forked), one per usable CPU up to one per chunk, and merges each
-    result as it arrives; otherwise, with a single usable CPU, in a
-    daemonic process or without fork, the pieces run here.  The pieces
-    and the order of the sums are the same either way, so the results do
-    not depend on the CPU count.
+    part as it arrives; otherwise, with a single usable CPU, in a
+    daemonic process or without fork, the chunks run here.  The parts and
+    the order of the sums are the same either way, so the results do not
+    depend on the CPU count.
     The base primes are sieved once per pass; the workers inherit them.
     """
     hi = cuts[-1]
@@ -424,15 +395,40 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
         lp = lp * (x - pk)
     groups = _fold_groups(moduli)
     offsets = np.cumsum([0] + [big for big, _ in groups]).tolist()
-    sums = _PieceSums(lo, base, tuple(zip(offsets, (big for big, _ in groups))), x, segment)
+    spans = list(zip(offsets, (big for big, _ in groups)))
     step = _CHUNK_SEGMENTS * segment
-    ends = sorted({*range(lo + step - 1, hi, step), *cuts})
-    pieces = list(zip([lo] + [e + 1 for e in ends[:-1]], ends))
+    chunks = [(s, min(s + step - 1, hi)) for s in range(lo, hi + 1, step)]
+
+    def add(count, mass, pr, w):
+        for off, big in spans:
+            c, m = _class_sums(pr, w, big)
+            count[off:off + big] += c
+            _neumaier_add(mass[:, off:off + big], m)
+
+    def work(chunk):
+        start, end = chunk
+        inner = sorted({c for c in cuts if start <= c < end})
+        count, mass = np.zeros(offsets[-1], dtype=np.int64), np.zeros((2, offsets[-1]))
+        top = start - 1  # the last integer of the segment at hand
+        for pr in prime_segments(start, end, segment=segment, base=base):
+            top += segment
+            w = np.log(pr, dtype=np.float64)
+            if x is not None:
+                w *= x - pr
+            here = [c for c in inner if top - segment < c <= top]
+            at = 0
+            for cut, stop in zip(here, np.searchsorted(pr, here, side="right").tolist()):
+                add(count, mass, pr[at:stop], w[at:stop])
+                yield cut, count, mass
+                count, mass = np.zeros_like(count), np.zeros_like(mass)
+                at = stop
+            add(count, mass, pr[at:], w[at:])
+        yield end, count, mass
 
     def snapshot(cut, count, mass):
         upto = int(np.searchsorted(pk, cut, side="right"))
         out = {}
-        for (off, big), (_, members) in zip(sums.spans, groups):
+        for (off, big), (_, members) in zip(spans, groups):
             pi = count[off:off + big]
             total = mass[0, off:off + big] + mass[1, off:off + big]
             for q in members:
@@ -440,23 +436,21 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
                 out[q] = (_fold(pi, q), th, th + _class_sums(pk[:upto], lp[:upto], q)[1])
         return out
 
-    def merged(results):
+    def merged(parts):
         count = np.zeros(offsets[-1], dtype=np.int64)
         mass = np.zeros((2, offsets[-1]))
         i = 0  # next cut to report
-        for _, end in pieces:
-            piece_count, piece_mass = next(results)
-            count += piece_count
-            _neumaier_add(mass, piece_mass[0])
-            mass[1] += piece_mass[1]
-            # free a piece's sums before the next one arrives
-            del piece_count, piece_mass
+        for end, part_count, part_mass in parts:
+            count += part_count
+            _neumaier_add(mass, part_mass[0])
+            mass[1] += part_mass[1]
+            # free a part's sums before the next one arrives
+            del part_count, part_mass
             while i < len(cuts) and cuts[i] == end:
                 yield snapshot(end, count, mass)
                 i += 1
 
-    chunks = -(-(hi - lo + 1) // step)
-    workers = min(chunks, _usable_cpus())
+    workers = min(len(chunks), _usable_cpus())
     if workers >= 2:
         # imported here, as its import takes about 12 ms
         import multiprocessing
@@ -467,11 +461,10 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
         if (not multiprocessing.current_process().daemon
                 and "fork" in multiprocessing.get_all_start_methods()):
             # whole chunks go round the workers, so each sieves on in its own range
-            owner = [(start - lo) // step % workers for start, _ in pieces]
-            with closing(_forked(sums, pieces, owner, workers)) as results:
-                yield from merged(results)
+            with closing(_forked(work, chunks, workers)) as parts:
+                yield from merged(parts)
             return
-    yield from merged(map(sums, pieces))
+    yield from merged(part for chunk in chunks for part in work(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +508,6 @@ class ResidueCounter:
         if len(set(qs)) != len(qs):
             raise DomainError("duplicate moduli")
         self.qs = qs
-        self.q = qs[0]
         self.segment = segment
 
     def counts_at_multi(self, xs: Sequence[float]) -> dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -533,9 +525,6 @@ class ResidueCounter:
                 results[q].append(snap[q])
         return results
 
-    def counts_at(self, xs: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return self.counts_at_multi(xs)[self.q]
-
 
 def ap_counts(x: float, q: int, a: int) -> APCounts:
     """Exact pi/theta/psi at x in the class a mod q (q = 1: unrestricted)."""
@@ -544,7 +533,7 @@ def ap_counts(x: float, q: int, a: int) -> APCounts:
     q = _modulus(q)
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
-    pi_q, th_q, ps_q = ResidueCounter(q).counts_at([x])[0]
+    pi_q, th_q, ps_q = ResidueCounter(q).counts_at_multi([x])[q][0]
     r = a % q
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 

@@ -636,17 +636,15 @@ def evaluate_bounds(kind: str, x: float, q: int, consts=None) -> float:
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
+    if q < 3:
+        raise DomainError("requires q >= 3")
     if kind == "principal":
         if x < 73.2:
             raise DomainError("principal-character bound requires x >= 73.2")
-        if q < 3:
-            raise DomainError("requires q >= 3")
         lx = math.log(x)
         return math.sqrt(x) * lx * lx / (8 * PI) + 1.12 * math.log(q) * lx
     if consts is None:
         raise DomainError(f"kind {kind!r} needs a constants record")
-    if q < 3:
-        raise DomainError("requires q >= 3")
     x0 = math.exp(consts.log_x0)
     if x < x0 * (1.0 - 1e-12):
         raise DomainError(f"x={x} is below the record's x0=exp({consts.log_x0})")

@@ -221,7 +221,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float]) -> Bo
     t0 = time.perf_counter()
     report = BoundReport(f"ap_bounds_q{q}_a{a}")
     xs = sorted(xs)
-    snapshots = ResidueCounter(q).counts_at(xs)
+    snapshots = ResidueCounter(q).counts_at_multi(xs)[q]
     phi_q = euler_phi(q)
     r = a % q
     for x, (pi_q, th_q, ps_q) in zip(xs, snapshots):

@@ -182,7 +182,7 @@ def test_criterion_7_exact_arithmetic():
     xs = sorted(rng.integers(100, n_max, size=12).tolist())
     count_ok = True
     for q in range(1, 31):
-        snaps = ResidueCounter(q).counts_at([float(x) for x in xs])
+        snaps = ResidueCounter(q).counts_at_multi([float(x) for x in xs])[q]
         for x, (pi_q, th_q, ps_q) in zip(xs, snaps):
             ns = np.arange(2, x + 1)
             for r in range(q):
@@ -198,7 +198,7 @@ def test_criterion_7_exact_arithmetic():
     pi_ok = ap_counts(100, 4, 1).pi == 11
     orth = abs(psi_from_characters(1e4, 7, 3) - ap_counts(1e4, 7, 3).psi)
     t1 = time.time()
-    big = ResidueCounter(3).counts_at([1e9])[0]
+    big = ResidueCounter(3).counts_at_multi([1e9])[3][0]
     sieve_time = time.time() - t1
     big_ok = int(big[0].sum()) == 50_847_534 and sieve_time < 300.0
     _report("7 exact arithmetic vs naive oracle + sieve scale",

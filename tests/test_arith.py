@@ -120,10 +120,10 @@ class TestSieve:
             (1024, [1025.0, 1026.0, 1031.0, 2048.0, 2187.0, 2187.0, 5000.5]),
         ]
         for segment, xs in cases:
-            multi = ResidueCounter(7, segment=segment).counts_at(xs)
+            multi = ResidueCounter(7, segment=segment).counts_at_multi(xs)[7]
             assert len(multi) == len(xs)
             for x, snap in zip(xs, multi):
-                single = ResidueCounter(7).counts_at([x])[0]
+                single = ResidueCounter(7).counts_at_multi([x])[7][0]
                 assert np.array_equal(snap[0], single[0])
                 assert np.allclose(snap[1], single[1], rtol=0, atol=1e-12)
                 assert np.allclose(snap[2], single[2], rtol=0, atol=1e-12)
@@ -276,9 +276,9 @@ class TestModulusValidation:
                 call()
 
     def test_numpy_integer_moduli(self):
-        want = ResidueCounter(7).counts_at([1000.0])[0]
+        want = ResidueCounter(7).counts_at_multi([1000.0])[7][0]
         for q in (np.int64(7), np.int32(7), [np.int64(7)]):
-            got = ResidueCounter(q).counts_at([1000.0])[0]
+            got = ResidueCounter(q).counts_at_multi([1000.0])[7][0]
             for u, v in zip(got, want):
                 assert np.array_equal(u, v)
         assert np.array_equal(residue_masses(1000.0, np.int64(7), "psi"), want[2])
@@ -361,7 +361,7 @@ class TestModuliFold:
         assert shuffled != self.MODULI
         again = ResidueCounter(shuffled, segment=4096).counts_at_multi(self.XS)
         for q in self.MODULI:
-            single = ResidueCounter([q], segment=4096).counts_at(self.XS)
+            single = ResidueCounter([q], segment=4096).counts_at_multi(self.XS)[q]
             for a, b, c in zip(base[q], again[q], single):
                 for u, v in zip(a, b):
                     assert np.array_equal(u, v)
@@ -417,7 +417,7 @@ class TestChunkedPass:
         signal.signal(signal.SIGALRM, previous)
 
     def test_same_bits_on_any_cpu_count(self, monkeypatch, passes):
-        # 2e4 spans 40 chunks; with three usable CPUs the pieces all run in
+        # 2e4 spans 40 chunks; with three usable CPUs the chunks all run in
         # workers, so this process sieves nothing
         xs = [700.5, 1025.0, 5000.0, 2.0e4]
         runs = {}
@@ -468,16 +468,35 @@ class TestChunkedPass:
 
     @pytest.mark.parametrize("q", [7, 9973])
     def test_same_bits_as_an_unchunked_pass(self, monkeypatch, q):
-        # the pieces keep to the pass's segment grid, so their sums are
-        # those of one unchunked pass; segments of 4096 hold enough primes
-        # per residue for a sum over another split to round otherwise
+        # every segment is sieved whole and its primes split at the cuts,
+        # so the parts' sums are those of one unchunked pass; segments of
+        # 4096 hold enough primes per residue for a sum over another split
+        # to round otherwise
         usable_cpus(monkeypatch, 3)
         segment = 4096
         cuts = [32769, 40000, 40000, 50001, 61234, 100003, 300000]
         want = self.unchunked_theta(cuts, q, segment)
-        snaps = ResidueCounter(q, segment=segment).counts_at([float(c) for c in cuts])
+        snaps = ResidueCounter(q, segment=segment).counts_at_multi([float(c) for c in cuts])[q]
         for (_, theta, _), ref in zip(snaps, want):
             assert np.array_equal(theta, ref)
+
+    def test_cuts_inside_segments_sieve_no_extra_segment(self, monkeypatch):
+        # each segment is sieved whole, however many cuts fall inside it
+        usable_cpus(monkeypatch, 1)
+        arrays = []
+        original = arith.prime_segments
+
+        def counting(*args, **kwargs):
+            for primes in original(*args, **kwargs):
+                arrays.append(primes.size)
+                yield primes
+
+        monkeypatch.setattr(arith, "prime_segments", counting)
+        # inside the segments [66, 129], [642, 705] and [1090, 1153] (twice),
+        # and inside chunks 0, 1 and 2
+        xs = [100.0, 700.5, 1100.0, 1151.0, 5000.0]
+        self.run(xs)
+        assert len(arrays) == -(-(5000 - 1) // self.SEGMENT)
 
     @pytest.fixture
     def no_process(self, monkeypatch):

@@ -297,6 +297,10 @@ class TestEvaluateBounds:
         _, _, _, ap_s = C.chain(20.0, small=True)
         with pytest.raises(DomainError):
             C.evaluate_bounds("pi_ap", 1e9, 10 ** 5, ap_s)  # q > 1e4 on small chain
+        # q < 3 for every kind, with or without constants
+        for kind, consts in [("principal", None), ("pi_ap", ap), ("psi_chi", None)]:
+            with pytest.raises(DomainError, match="q >= 3"):
+                C.evaluate_bounds(kind, 1e9, 2, consts)
 
     def test_chi_bounds(self):
         _, _, tp, _ = C.chain(10.0)
