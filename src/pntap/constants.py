@@ -18,8 +18,9 @@ search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
 
 Reference-table compatibility
 -----------------------------
-The definite integrals feeding the zero-sum constants k1, k2 (``_zero_sum``)
-are evaluated with mpmath's default tanh-sinh quadrature pinned to 15
+The three definite integrals over [lower, eta] feeding the zero-sum
+constants k1, k2 and their small-moduli versions (``_zero_sum``) are
+evaluated with mpmath's default tanh-sinh quadrature pinned to 15
 significant digits (``_reference_quad``), the one shim in the chain.  On
 the enormous ranges that arise for log x0 >~ 90 that scheme stops
 converging and saturates; the bundled reference tables were produced
@@ -29,9 +30,16 @@ to this quadrature, not as independently certified bounds.  The
 short-interval integral in k4 takes the closed form
 ``weight_quarter_sqrt().logt`` instead.
 
+``_reference_quad`` replays ``mp.quad``'s steps in one pass per interval:
+the three integrands share its nodes and the square root at each node,
+and each stops on mp.quad's own error test.  Every step is the same
+correctly rounded mpmath operation at the same precision, so each value
+has the same bits as its own ``float(mp.quad(f, [a, b]))`` at 15 digits.
+mpmath is imported by the pass, on first use.
+
 The chain asks for the same integrals many times (every table section
 rebuilds it, and the small-moduli chain shares its sigma6 anchor across
-rows), so ``_reference_quad`` is memoised per ``(kind, a, b)`` and
+rows), so ``_reference_quad`` is memoised per interval ``(a, b)`` and
 ``optimize_kappa`` per ``log_x0``, each keeping up to 1024 results within
 a process.  The 15-digit pin sits inside the memoised function, so a
 cached value is the value a fresh evaluation gives, whatever the global
@@ -44,8 +52,6 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
-
-import mpmath as mp
 
 from .arith import prime_factors
 from .errors import DomainError, ValidationError
@@ -84,10 +90,9 @@ REFERENCE_KAPPA = {
 # default log-x0 grid of the table commands: the reference rows and log(1.05e7)
 LOG_X0_GRID = tuple(sorted({*REFERENCE_KAPPA, SMALL_LOG_X0_MIN}))
 
-_MP_QUARTER = mp.mpf(1) / 4
-# `constants --which all` on the default grid asks for 87 distinct
-# (kind, a, b) keys; the bound leaves room for off-grid rows and caps the
-# memory of long-lived callers
+# `constants --which all` on the default grid integrates over 29 distinct
+# intervals [lower, eta]; the bound leaves room for off-grid rows and caps
+# the memory of long-lived callers
 _CACHE_SIZE = 1024
 
 
@@ -101,27 +106,74 @@ def _require_log_x0(log_x0: float) -> None:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _reference_quad(kind: str, a: float, b: float) -> float:
+def _reference_quad(a: float, b: float) -> tuple[float, float, float]:
     """Tanh-sinh quadrature at 15 digits; the table-compatibility scheme.
 
-    kind selects one of the three integrands used by the zero-sum chain:
-    "plain"  -> (1/4+t^2)^(-1/2)
-    "logt"   -> log(t/2pi) (1/4+t^2)^(-1/2)
-    "over_t" -> t^(-1) (1/4+t^2)^(-1/2)
+    Returns the integrals over [a, b] (0 < a < b) of the three integrands
+    of the zero-sum chain, with w(t) = (1/4+t^2)^(-1/2):
+    (plain, logt, over_t) = (w(t), log(t/2pi) w(t), w(t)/t).
+    Each is bit for bit ``float(mp.quad(f, [a, b]))`` under
+    ``mp.workdps(15)``, by the same steps (Borwein, Bailey and Girgensohn,
+    *Experimentation in Mathematics*, 2003, pp. 312-313):
 
-    Memoised per (kind, a, b); the precision pin below makes the key
-    determine the value.
+    * the standard nodes of each degree come from mpmath's node cache, and
+      are moved to [a, b] as D + C x with weight C w, at 20 guard bits;
+    * degrees run from 1 to guess_degree(53) = 6, each level summed as
+      ``TanhSinh.sum_next`` does (previous/(2h) plus an exact dot product);
+    * each integrand stops on its own ``estimate_error`` <= eps/8.
+
+    The integrands are evaluated with the libmp operations mp.quad's
+    lambdas call, at the same precision, sharing sqrt(1/4 + t^2).  Unlike
+    mp.quad, the pass leaves mpmath's per-interval node caches alone.
+    Memoised per (a, b); the precision pin makes the key determine the value.
     """
-    if kind == "plain":
-        f = lambda t: 1 / mp.sqrt(_MP_QUARTER + t * t)
-    elif kind == "logt":
-        f = lambda t: mp.log(t / (2 * mp.pi)) / mp.sqrt(_MP_QUARTER + t * t)
-    elif kind == "over_t":
-        f = lambda t: 1 / (t * mp.sqrt(_MP_QUARTER + t * t))
-    else:
-        raise ValueError(f"unknown integrand kind {kind!r}")
+    import mpmath as mp
+    from mpmath import libmp
+
+    ctx = mp.mp
+    rule = ctx._tanh_sinh  # the rule mp.quad uses
+    rnd = libmp.round_nearest
+    add, mul, div, shift = libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div, libmp.mpf_shift
     with mp.workdps(15):
-        return float(mp.quad(f, [a, b]))
+        prec = ctx.prec
+        eps = ctx.eps / 8
+    wp = prec + 20
+    one = libmp.fone
+    quarter = shift(one, -2)
+    two_pi = shift(libmp.mpf_pi(wp, rnd), 1)
+    fa, fb = libmp.from_float(a), libmp.from_float(b)
+    C = shift(libmp.mpf_sub(fb, fa, wp, rnd), -1)
+    D = shift(add(fb, fa, wp, rnd), -1)
+    integrands = (
+        lambda t, s: div(one, s, wp, rnd),
+        lambda t, s: div(libmp.mpf_log(div(t, two_pi, wp, rnd), wp, rnd), s, wp, rnd),
+        lambda t, s: div(one, mul(t, s, wp, rnd), wp, rnd),
+    )
+    results = ([], [], [])
+    live = [0, 1, 2]
+    with mp.workprec(wp):
+        for degree in range(1, rule.guess_degree(prec) + 1):
+            nodes = rule.standard_cache.get((degree, prec))
+            if nodes is None:
+                nodes = rule.standard_cache[degree, prec] = rule.calc_nodes(degree, prec)
+            terms = ([], [], [])
+            for x, w in nodes:
+                t = add(D, mul(C, x._mpf_, wp, rnd), wp, rnd)
+                wt = mul(C, w._mpf_, wp, rnd)
+                s = libmp.mpf_sqrt(add(quarter, mul(t, t, wp, rnd), wp, rnd), wp, rnd)
+                for k in live:
+                    terms[k].append(mul(wt, integrands[k](t, s)))
+            for k in tuple(live):
+                levels = results[k]
+                S = shift(levels[-1], degree - 1) if levels else libmp.fzero
+                S = add(S, libmp.mpf_sum(terms[k], wp, rnd), wp, rnd)
+                levels.append(shift(S, -degree))
+                if degree > 1 and rule.estimate_error(
+                        [ctx.make_mpf(v) for v in levels], prec, eps) <= eps:
+                    live.remove(k)
+            if not live:
+                break
+    return tuple(libmp.to_float(libmp.mpf_pos(levels[-1], prec, rnd)) for levels in results)
 
 
 def splitting_height(log_x0: float) -> float:
@@ -184,10 +236,9 @@ def _zero_sum(log_x0: float, lower: float, log_term: float,
     eta = splitting_height(log_x0)
     sx = math.exp(0.5 * log_x0)
     w0 = 1.0 / math.sqrt(0.25 + lower * lower)
-    nu1 = 0.494 * w0 + _reference_quad("plain", lower, eta) / PI
-    nu2 = _reference_quad("logt", lower, eta) / PI \
-        + 2.0 * (0.247 * log_term + 6.894) * w0 \
-        + 0.247 * _reference_quad("over_t", lower, eta)
+    plain, logt, over_t = _reference_quad(lower, eta)
+    nu1 = 0.494 * w0 + plain / PI
+    nu2 = logt / PI + 2.0 * (0.247 * log_term + 6.894) * w0 + 0.247 * over_t
     nu3 = 0.494 / eta - math.log(eta) / PI
     nu4 = (math.log(TWO_PI)) ** 2 / TWO_PI - (math.log(eta / TWO_PI)) ** 2 / TWO_PI \
         + 2.0 * (6.894 - 0.247 * math.log(TWO_PI * eta)) / eta + 0.247 / eta

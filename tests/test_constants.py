@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -361,47 +365,111 @@ class TestLogX0Domain:
         assert si.k3 > 0
 
 
+def record_quad_keys(monkeypatch, *argvs, rows=()):
+    """The (a, b) keys _reference_quad is asked for by `constants --which all`
+    with each argv, then by soz_constants_small at each row."""
+    cached = C._reference_quad
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(C, "_reference_quad", recording)
+    for argv in argvs:
+        assert cli.main(["constants", "--which", "all", *argv]) == 0
+    for lx in rows:
+        C.soz_constants_small(lx)
+    monkeypatch.setattr(C, "_reference_quad", cached)
+    return keys
+
+
+# the integrands the chain took from three mp.quad calls per interval
+_MP_QUARTER = mp.mpf(1) / 4
+QUAD_INTEGRANDS = (
+    lambda t: 1 / mp.sqrt(_MP_QUARTER + t * t),
+    lambda t: mp.log(t / (2 * mp.pi)) / mp.sqrt(_MP_QUARTER + t * t),
+    lambda t: 1 / (t * mp.sqrt(_MP_QUARTER + t * t)),
+)
+
+
+def quad_oracle(a, b):
+    """(plain, logt, over_t) over [a, b], one mp.quad call each, at 15 digits."""
+    with mp.workdps(15):
+        return tuple(float(mp.quad(f, [a, b])) for f in QUAD_INTEGRANDS)
+
+
+class TestReferenceQuad:
+    """One pass per interval gives the bits of three mp.quad calls."""
+
+    OFF_GRID = (18.3, 37.5, 85.0, 120.0, 300.0, C.LOG_X0_MAX)
+
+    def test_same_bits_as_mp_quad(self, monkeypatch, capsys):
+        C._reference_quad.cache_clear()
+        keys = set(record_quad_keys(monkeypatch, [], ["--small"], ["--small", "--self-consistent"],
+                                    rows=self.OFF_GRID))
+        capsys.readouterr()
+        assert {a for a, _ in keys} == {5.0 / 7.0, 200.0}
+        for key in sorted(keys):
+            got = C._reference_quad(*key)
+            assert [v.hex() for v in got] == [v.hex() for v in quad_oracle(*key)], key
+
+    def test_mpmath_node_caches_do_not_grow(self, capsys):
+        # mp.quad keeps the moved nodes of every interval it sees twice
+        rule = mp.mp._tanh_sinh
+        before = len(rule.transformed_cache), len(rule.interval_count)
+        C._reference_quad.cache_clear()
+        assert cli.main(["constants", "--which", "all", "--small"]) == 0
+        capsys.readouterr()
+        for lx in np.linspace(20.3, 700.3, 50):
+            C.soz_constants_small(float(lx))
+        assert (len(rule.transformed_cache), len(rule.interval_count)) == before
+
+    def test_mpmath_loads_on_first_quadrature(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, pntap; "
+                "pntap.ap_counts(1e5, 7, 3); "
+                "print('mpmath' in sys.modules); "
+                "pntap.soz_constants(20.0); "
+                "print('mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+
 class TestCaches:
     """The memoised leaves return exactly what a fresh evaluation returns."""
 
-    @staticmethod
-    def record_quad_keys(monkeypatch, *argvs):
-        cached = C._reference_quad
-        keys = []
-
-        def recording(*key):
-            keys.append(key)
-            return cached(*key)
-
-        monkeypatch.setattr(C, "_reference_quad", recording)
-        for argv in argvs:
-            assert cli.main(["constants", "--which", "all", *argv]) == 0
-        monkeypatch.setattr(C, "_reference_quad", cached)
-        return keys
-
     def test_cached_quadrature_is_bit_identical(self, monkeypatch, capsys):
         C._reference_quad.cache_clear()
-        keys = set(self.record_quad_keys(monkeypatch, [], ["--small"]))
+        keys = set(record_quad_keys(monkeypatch, [], ["--small"]))
         capsys.readouterr()
-        assert {kind for kind, _, _ in keys} == {"plain", "logt", "over_t"}
+        assert {a for a, _ in keys} == {5.0 / 7.0, 200.0}
         for key in sorted(keys):
-            assert C._reference_quad(*key).hex() == C._reference_quad.__wrapped__(*key).hex(), key
+            cached = [v.hex() for v in C._reference_quad(*key)]
+            assert cached == [v.hex() for v in C._reference_quad.__wrapped__(*key)], key
 
     def test_cached_value_ignores_global_precision(self):
-        keys = [("plain", 5.0 / 7.0, C.splitting_height(80.0)),
-                ("logt", 200.0, C.splitting_height(40.0)),
-                ("over_t", 5.0 / 7.0, C.splitting_height(500.0))]
+        keys = [(5.0 / 7.0, C.splitting_height(80.0)),
+                (200.0, C.splitting_height(40.0)),
+                (5.0 / 7.0, C.splitting_height(500.0))]
+        prec = mp.mp.prec
         C._reference_quad.cache_clear()
         default = [C._reference_quad(*key) for key in keys]
+        assert mp.mp.prec == prec
         C._reference_quad.cache_clear()
         with mp.workdps(30):
             assert mp.mp.dps == 30
             at_30 = [C._reference_quad(*key) for key in keys]
-        assert [v.hex() for v in at_30] == [v.hex() for v in default]
+            assert mp.mp.dps == 30
+        assert mp.mp.prec == prec
+        assert [[v.hex() for v in vs] for vs in at_30] == [[v.hex() for v in vs] for vs in default]
 
     def test_one_miss_per_distinct_key(self, monkeypatch, capsys):
         C._reference_quad.cache_clear()
-        keys = self.record_quad_keys(monkeypatch, ["--small"])
+        keys = record_quad_keys(monkeypatch, ["--small"])
         capsys.readouterr()
         info = C._reference_quad.cache_info()
         assert info.misses == len(set(keys))
