@@ -217,8 +217,11 @@ def higher_prime_powers(n: int, base: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 
 def _modulus(q: int) -> int:
-    """q as an int (numpy integers included); q < 1 is a domain error."""
-    q = operator.index(q)
+    """q as an int (numpy integers included); a non-integer or q < 1 is a domain error."""
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise DomainError(f"q must be an integer, got {q!r}") from None
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return q

@@ -30,13 +30,6 @@ to this quadrature, not as independently certified bounds.  The
 short-interval integral in k4 takes the closed form
 ``weight_quarter_sqrt().logt`` instead.
 
-``_reference_quad`` replays ``mp.quad``'s steps in one pass per interval:
-the three integrands share its nodes and the square root at each node,
-and each stops on mp.quad's own error test.  Every step is the same
-correctly rounded mpmath operation at the same precision, so each value
-has the same bits as its own ``float(mp.quad(f, [a, b]))`` at 15 digits.
-mpmath is imported by the pass, on first use.
-
 The chain asks for the same integrals many times (every table section
 rebuilds it, and the small-moduli chain shares its sigma6 anchor across
 rows), so ``_reference_quad`` is memoised per interval ``(a, b)`` and
@@ -53,7 +46,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .arith import prime_factors
+from .arith import _modulus, prime_factors
 from .errors import DomainError, ValidationError
 from .quadrature import exp_integral_ei
 from .zerosum import GAMMA_1, count_remainder_R, weight_quarter_sqrt
@@ -350,57 +343,66 @@ BETA_2 = 3.0 ** (1.0 / 3.0) * ALPHA_2 - 2.0 / 3.0
 
 
 def _k3_terms(log_x0: float, kappa0: float, kappa1: float, kappa2: float):
-    """Closed-form pieces of k3; returns (ell0, ell2, ell3, sigma2_coef, ell7).
+    """The split and the pieces of k3: (kappa1 eta, ell0, ell2, ell3, ell5, ell7).
 
-    Every x-dependent factor is taken at its worst case x = x0 (each ratio
+    DomainError outside the admissibility rule (see short_interval_constants).
+    Each x-dependent factor is taken at its worst case x = x0 (each ratio
     against sqrt(x) log x decreases in x on the admissible range).
     """
     sx = math.exp(0.5 * log_x0)
-    eta = sx / log_x0
-    k1e = kappa1 * eta
+    eta = splitting_height(log_x0)
+    k1e, tau = kappa1 * eta, kappa0 * sx * log_x0
+    if not (0.0 < kappa0 < 1.0 and TWO_PI < k1e < math.inf and tau > 2.0
+            and TWO_PI < (k2e := kappa2 * eta / kappa0) < math.inf):
+        raise DomainError(f"kappa {(kappa0, kappa1, kappa2)} at log x0 = {log_x0} needs "
+                          "0 < kappa0 < 1, kappa1 eta and kappa2 eta/kappa0 finite and > 2 pi, "
+                          "and tau = kappa0 sqrt(x0) log x0 > 2 (eta = sqrt(x0)/log x0)")
     ell2 = 1.0 + math.sqrt(1.0 + (1.0 + kappa0) / eta)
     tail_factor = (1.0 + (1.0 + kappa0) / eta) ** 1.5 + 2.0
     ell0 = tail_factor / (kappa2 * PI) * (0.5 + math.log(kappa2 / kappa0) / log_x0)
     bracket = ((log_x0 + max(0.0, math.log(kappa1 * kappa2 / (4.0 * PI * PI * kappa0)))) / (4.0 * PI)) \
         * math.log(kappa2 / (kappa0 * kappa1)) \
-        + kappa0 * count_remainder_R(kappa2 * eta / kappa0) / (kappa2 * eta) \
+        + kappa0 * count_remainder_R(k2e) / (kappa2 * eta) \
         + count_remainder_R(k1e) / k1e \
         + (4.200 + 4.134 * math.log(k1e)) / (k1e * k1e)
     ell3 = 2.0 * ell2 * bracket / log_x0
     sigma2_coef = k1e * math.log(k1e) / (PI * sx * log_x0)
     x0 = math.exp(log_x0)
-    tau = kappa0 * sx * log_x0
     ell7 = kappa0 + 21.0 / (20.0 * kappa0 * x0 * log_x0 * log_x0) \
         + max(8.0 * kappa0,
               4.0 * kappa0 * math.log(x0 + (1.0 + kappa0) * sx * log_x0) / math.log(tau)) \
         + 2.0 * BETA_1 / log_x0 + 2.0 * BETA_2 * x0 ** (-1.0 / 6.0) / log_x0
-    return ell0, ell2, ell3, sigma2_coef, ell7
+    return k1e, ell0, ell2, ell3, ell0 + ell3 + sigma2_coef, ell7
 
 
 def k3_value(log_x0: float, kappa0: float, kappa1: float, kappa2: float) -> float:
-    """k3 alone (no quadrature needed); inf when parameters are inadmissible."""
-    if not (0.0 < kappa0 < 1.0 and kappa1 > 0.0 and kappa2 > 0.0):
+    """k3 alone; inf when kappa is inadmissible at log x0."""
+    try:
+        _, _, _, _, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
+    except DomainError:
         return math.inf
-    sx = math.exp(0.5 * log_x0)
-    eta = sx / log_x0
-    if kappa1 * eta <= TWO_PI or kappa2 * eta / kappa0 <= TWO_PI:
-        return math.inf
-    if kappa0 * sx * log_x0 <= 2.0:
-        return math.inf
-    ell0, _, ell3, sigma2_coef, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
-    return ell0 + ell3 + sigma2_coef + ell7
+    return ell5 + ell7
 
 
 def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortIntervalConstants:
-    """Assemble k3(x0), k4(x0) at the given tuning parameters, log x0 >= 10."""
+    """Assemble k3(x0), k4(x0) at the given tuning parameters, log x0 >= 10.
+
+    Kappa is admissible when 0 < kappa0 < 1, kappa1 eta and kappa2 eta/kappa0
+    are finite and > 2 pi, and tau = kappa0 sqrt(x0) log x0 > 2, with eta =
+    splitting_height(log x0); ``_k3_terms`` alone decides it.  Audit notes,
+    as the code reads (ROADMAP item 7): per sqrt(x) log x at x0, ell0 bounds
+    the zeros above kappa2 eta/kappa0, ell3 those down to kappa1 eta (ell2
+    bounds |y^rho - x^rho|/sqrt(x)) and sigma2_coef those below; ell7 holds
+    the smoothing, the primes near both ends and the prime powers.  ell3
+    assumes kappa2 >= kappa0 kappa1: on the log x0 = 40 reference row its
+    log(kappa2/(kappa0 kappa1)) = -0.148 lowers k3, and optimize_kappa
+    returns that row at 33.3, 37.5 and 45.1.  ell1 is a lower bound for
+    2N(kappa1 eta/kappa0), with R taken at kappa1 eta, and ell4/ell2 an
+    upper bound for 2 sum 1/|rho| over 0 < gamma <= kappa1 eta.
+    """
     _require_log_x0(log_x0)
     kappa0, kappa1, kappa2 = kappa.kappa0, kappa.kappa1, kappa.kappa2
-    sx = math.exp(0.5 * log_x0)
-    eta = sx / log_x0
-    k1e = kappa1 * eta
-    if k1e <= TWO_PI:
-        raise DomainError("kappa1 * splitting height must exceed 2 pi")
-    ell0, ell2, ell3, sigma2_coef, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
+    k1e, ell0, ell2, ell3, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
     ell1 = (k1e / (kappa0 * PI)) * math.log(k1e / (TWO_PI * math.e * kappa0)) \
         - 7.0 / 4.0 - 2.0 * count_remainder_R(k1e)
     logt = weight_quarter_sqrt().logt
@@ -409,7 +411,6 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
                    + 2.0 * count_remainder_R(k1e) / math.sqrt(0.25 + k1e * k1e)
                    + 2.0 * count_remainder_R(GAMMA_1) / math.sqrt(0.25 + GAMMA_1 ** 2)
                    + 0.04509)
-    ell5 = ell0 + ell3 + sigma2_coef
     ell6 = -ell1 + ell4
     return ShortIntervalConstants(
         log_x0=log_x0, kappa=kappa,
@@ -687,7 +688,7 @@ def evaluate_bounds(kind: str, x: float, q: int, consts=None) -> float:
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    if q < 3:
+    if _modulus(q) < 3:
         raise DomainError("requires q >= 3")
     if kind == "principal":
         if x < 73.2:
@@ -732,7 +733,7 @@ def gm_baseline_pi_bound(x: float, q: int) -> float:
     conditional density theorem, valid for x >= 2."""
     if x < 2.0:
         raise DomainError("requires x >= 2")
-    if q < 3:
+    if _modulus(q) < 3:
         raise DomainError("requires q >= 3")
     lx = math.log(x)
     lq = math.log(q)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -147,6 +148,48 @@ class TestShortInterval:
     def test_kappa_for_prefers_reference(self):
         k = C.kappa_for(10.0)
         assert (k.kappa0, k.kappa1, k.kappa2) == C.REFERENCE_KAPPA[10.0]
+
+    @pytest.mark.parametrize("kappa0", [math.exp(-5.0) / 10.0, 5e-4, 1e-4])
+    def test_smoothing_width_at_most_two_is_domain_error(self, kappa0):
+        # tau = kappa0 sqrt(x0) log x0 is 1, 0.74 and 0.15 here
+        with pytest.raises(DomainError, match="tau"):
+            C.short_interval_constants(10.0, C.KappaParams(kappa0, 18.8, 1.74663))
+
+    @pytest.mark.parametrize("lx0", [10.0, 20.0, 100.0, C.LOG_X0_MAX])
+    def test_one_admissibility_rule(self, lx0):
+        # kappa1 eta, kappa2 eta/kappa0 and tau, each put below, at and above
+        # its threshold in turn, and kappa2 eta/kappa0 past the largest float.
+        # KappaParams's floor keeps kappa2 eta/kappa0 above 2 pi for every
+        # log x0 >= 10, so the floats reach short_interval_constants through
+        # a plain namespace.  The tau rows take kappa2 at the floor, which
+        # keeps kappa2 eta/kappa0 finite there up to LOG_X0_MAX.
+        eta, sx = C.splitting_height(lx0), math.exp(0.5 * lx0)
+        k = C.kappa_for(lx0)
+        base = (k.kappa0, k.kappa1, k.kappa2)
+        factors = (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0)
+        grid = {
+            "kappa1 eta": [(base[0], f * 2 * PI / eta, base[2]) for f in factors],
+            "kappa2 eta/kappa0": [(base[0], base[1], f * 2 * PI * base[0] / eta)
+                                  for f in factors],
+            "tau": [(f * 2.0 / (sx * lx0), base[1], C.KAPPA2_FLOOR) for f in factors],
+            "finite": [(base[0], base[1], f * sys.float_info.max * base[0] / eta)
+                       for f in (2.0, 1.0, 0.5)],
+        }
+        for condition, rows in [("none", [base]), *grid.items()]:
+            raised = []
+            for k0, k1, k2 in rows:
+                k3 = C.k3_value(lx0, k0, k1, k2)
+                try:
+                    si = C.short_interval_constants(
+                        lx0, SimpleNamespace(kappa0=k0, kappa1=k1, kappa2=k2))
+                except DomainError:
+                    raised.append(True)
+                    assert k3 == math.inf, condition
+                else:
+                    raised.append(False)
+                    assert math.isfinite(k3) and k3.hex() == si.k3.hex(), condition
+            # the first row of each condition breaks it, the last does not
+            assert raised[0] == (condition != "none") and not raised[-1], condition
 
 
 class TestG2AndHelpers:
@@ -305,6 +348,18 @@ class TestEvaluateBounds:
         for kind, consts in [("principal", None), ("pi_ap", ap), ("psi_chi", None)]:
             with pytest.raises(DomainError, match="q >= 3"):
                 C.evaluate_bounds(kind, 1e9, 2, consts)
+        # a modulus that is not an integer, on every evaluator
+        _, _, tp, _ = C.chain(10.0)
+        for call in [lambda: C.evaluate_bounds("pi_ap", 1e6, 3.5, ap),
+                     lambda: C.evaluate_bounds("psi_chi", 1e6, 7.25, tp),
+                     lambda: C.evaluate_bounds("principal", 1e6, 7.0),
+                     lambda: C.gm_baseline_pi_bound(1e6, 3.5)]:
+            with pytest.raises(DomainError, match="integer"):
+                call()
+        # numpy integers are moduli
+        assert C.evaluate_bounds("pi_ap", 1e6, np.int64(7), ap) \
+            == C.evaluate_bounds("pi_ap", 1e6, 7, ap)
+        assert C.gm_baseline_pi_bound(1e6, np.int32(6)) == C.gm_baseline_pi_bound(1e6, 6)
 
     def test_chi_bounds(self):
         _, _, tp, _ = C.chain(10.0)
