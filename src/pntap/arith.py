@@ -120,7 +120,7 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
 
 def euler_phi(q: int) -> int:
     phi = 1
-    for p, e in prime_factors(q):
+    for p, e in prime_factors(_modulus(q)):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -505,7 +505,7 @@ class ResidueCounter:
     """
 
     def __init__(self, q: int | Sequence[int], segment: int = DEFAULT_SEGMENT):
-        qs = [_modulus(m) for m in ([q] if isinstance(q, (int, np.integer)) else q)]
+        qs = [_modulus(m) for m in ([q] if np.ndim(q) == 0 else q)]
         if not qs:
             raise DomainError("need at least one modulus")
         if len(set(qs)) != len(qs):
@@ -661,7 +661,7 @@ class DirichletCharacter:
         return self._roots[self.exponent_table()]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 7.0 must not hit the entry of np.int64(7)
 def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) Dirichlet characters mod q, in Conrey-index order.
 
@@ -676,6 +676,7 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     a >= 3 contributes 4 d5 when chi has order d5 > 1 on the generator 5,
     else 4 when the exponent of -1 is odd.
     """
+    q = _modulus(q)
     if q < 3:
         raise DomainError("character tables need q >= 3")
     # the paper's small-moduli range; the dense (q, g) log matrix and one
@@ -765,6 +766,7 @@ def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:
 
 def psi_from_characters(x: float, q: int, a: int) -> float:
     """Reconstruct psi(x; q, a) from twisted sums by orthogonality."""
+    q = _modulus(q)
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) > 1")
     mass = residue_masses(x, q, "psi")

@@ -66,11 +66,11 @@ def render_table(header: list[str], rows: list[list], fmt: str) -> str:
 
 def _soz_row(lx: float) -> list:
     """k1 and k2, with the small-moduli k1~ and k2~ where log x0 allows them."""
+    g = C.soz_constants(lx)
     if lx >= C.SMALL_LOG_X0_MIN:
         s = C.soz_constants_small(lx)
-        return [s.k1, s.k1_t, s.k2, s.k2_t]
-    s = C.soz_constants(lx)
-    return [s.k1, None, s.k2, None]
+        return [g.k1, s.k1, g.k2, s.k2]
+    return [g.k1, None, g.k2, None]
 
 
 def _short_interval_row(lx: float) -> list:

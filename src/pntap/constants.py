@@ -2,7 +2,7 @@
 
 Produces every record in the chain
 
-    zero-sum constants (k1, k2 and the small-moduli k1~, k2~)
+    zero-sum constants (k1, k2, or the small-moduli k1~, k2~)
       -> short-interval constants (k3, k4 at tuning parameters kappa)
         -> twisted Chebyshev constants (k5, k6, Omega0..Omega2)
           -> progression constants (Omega3..Omega7 and the a-vector),
@@ -183,9 +183,10 @@ class SozConstants:
     """Constants bounding the smoothed sum over Dirichlet L zeros.
 
     The bound has shape (log x/8pi + log q/2pi + k1) sqrt(x) log x
-    + k2 sqrt(x) log q for x >= x0.  Small-moduli refinements (moduli up
-    to 10^4, x0 >= 1.05e7) carry a tilde suffix and rest on the exactly
-    computed low-zero sum omega.
+    + k2 sqrt(x) log q for x >= x0.  A record holds one zero sum: the
+    general one, or with small_moduli the refinement for moduli up to 10^4
+    and x0 >= 1.05e7, whose k1, k2 (the tables' k1~, k2~) rest on the
+    exactly computed low-zero sum omega.
     """
 
     log_x0: float
@@ -201,10 +202,6 @@ class SozConstants:
     k1: float
     k2: float
     small_moduli: bool = False
-    nu1_t: Optional[float] = None
-    nu2_t: Optional[float] = None
-    k1_t: Optional[float] = None
-    k2_t: Optional[float] = None
     omega: float = OMEGA_DEFAULT
 
     def __post_init__(self):
@@ -260,11 +257,12 @@ def soz_constants(log_x0: float) -> SozConstants:
 
 
 def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConstants:
-    """Zero-sum constants including the small-moduli refinement.
+    """Zero-sum constants k1~(x0), k2~(x0) for moduli up to 10^4.
 
-    Requires log x0 >= log(1.05e7) so the splitting height clears the
-    exactly-summed region below 200; omega is the maximal low-zero sum
-    (recompute via zeros.omega_low_sum when zero data is available).
+    The zeros from height 200 up, the ones below summed exactly into omega,
+    the maximal low-zero sum (recompute via zeros.omega_low_sum when zero
+    data is available).  Requires log x0 >= log(1.05e7) so the splitting
+    height clears 200.
     """
     if log_x0 < SMALL_LOG_X0_MIN:
         raise DomainError(
@@ -272,10 +270,9 @@ def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConst
         )
     if omega <= 0:
         raise DomainError("omega must be positive")
-    base = soz_constants(log_x0)
+    _require_log_x0(log_x0)
     tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, omega)
-    return replace(base, small_moduli=True, omega=omega,
-                   nu1_t=tilde.nu1, nu2_t=tilde.nu2, k1_t=tilde.k1, k2_t=tilde.k2)
+    return replace(tilde, small_moduli=True, omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -550,27 +547,27 @@ def twisted_psi_constants(log_x0: float, soz: SozConstants,
     )
 
 
-def twisted_psi_constants_small(log_x0: float, soz_small: SozConstants,
+def twisted_psi_constants_small(log_x0: float, soz: SozConstants, soz_small: SozConstants,
                                 si: ShortIntervalConstants, *,
                                 self_consistent: bool) -> TwistedPsiConstants:
     """Assemble the small-moduli chain (q <= 10^4, x0 >= 1.05e7).
 
-    self_consistent selects the zero-sum record whose k1~ feeds sigma6.
-    The bundled reference tables were generated with that record frozen at
-    the final grid row (log x0 = 500) for every line; False reproduces
-    them, True uses soz_small itself (the self-consistent reading).
+    The general record soz gives the base k5, k6; soz_small gives the k2~
+    in sigma7 and, with self_consistent, the k1~ in sigma6.  Without it,
+    sigma6 takes the small-moduli record of the final grid row
+    (log x0 = 500) for every row, as the bundled reference tables were built.
     """
     if log_x0 < SMALL_LOG_X0_MIN:
         raise DomainError(f"requires log x0 >= {SMALL_LOG_X0_MIN:.6f}")
-    if not soz_small.small_moduli:
-        raise ValidationError("need a small-moduli zero-sum record")
-    base = twisted_psi_constants(log_x0, soz_small, si)
+    if soz.small_moduli or not soz_small.small_moduli or abs(soz_small.log_x0 - log_x0) > 1e-12:
+        raise ValidationError("need a general and a small-moduli zero-sum record at log x0")
+    base = twisted_psi_constants(log_x0, soz, si)
     anchor = soz_small if self_consistent else soz_constants_small(LOG_X0_GRID[-1])
     x = math.exp(log_x0)
     sx = math.sqrt(x)
     lx = log_x0
-    sigma6 = anchor.k1_t + 1.0 / sx + 1.0 / x + g2(10 ** 4) / (sx * lx)
-    k2t = soz_small.k2_t
+    sigma6 = anchor.k1 + 1.0 / sx + 1.0 / x + g2(10 ** 4) / (sx * lx)
+    k2t = soz_small.k2
     sigma7 = 4.0 * k2t * math.log(10.0) if k2t >= 0 else k2t * math.log(3.0)
     return replace(
         base,
@@ -662,11 +659,12 @@ def chain(log_x0: float, small: bool = False, self_consistent: bool = False):
     kappa comes from kappa_for.
     """
     si = short_interval_constants(log_x0, kappa_for(log_x0))
-    if small:
-        soz = soz_constants_small(log_x0)
-        tp = twisted_psi_constants_small(log_x0, soz, si, self_consistent=self_consistent)
-        return soz, si, tp, ap_constants_small(log_x0, tp)
     soz = soz_constants(log_x0)
+    if small:
+        soz_small = soz_constants_small(log_x0)
+        tp = twisted_psi_constants_small(log_x0, soz, soz_small, si,
+                                         self_consistent=self_consistent)
+        return soz_small, si, tp, ap_constants_small(log_x0, tp)
     tp = twisted_psi_constants(log_x0, soz, si)
     return soz, si, tp, ap_constants(log_x0, tp)
 

@@ -275,6 +275,15 @@ class TestModulusValidation:
             with pytest.raises(DomainError, match="q must be >= 1"):
                 call()
 
+    def test_non_integer_q_is_domain_error(self):
+        character_table(np.int64(7))
+        for call in (lambda: ResidueCounter(7.5), lambda: ResidueCounter([7, 7.5]),
+                     lambda: ap_counts(1e5, 7.5, 3), lambda: character_table(7.5),
+                     lambda: character_table(7.0),
+                     lambda: psi_from_characters(1e4, 7.5, 2), lambda: euler_phi(7.5)):
+            with pytest.raises(DomainError, match="q must be an integer"):
+                call()
+
     def test_numpy_integer_moduli(self):
         want = ResidueCounter(7).counts_at_multi([1000.0])[7][0]
         for q in (np.int64(7), np.int32(7), [np.int64(7)]):

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,16 +32,16 @@ class TestSoz:
     def test_spot_rows_small(self, lx0):
         s = C.soz_constants_small(lx0)
         _, k1t, _, k2t = ref.SOZ_TABLE[lx0]
-        assert ref.close(s.k1_t, k1t)
-        assert ref.close(s.k2_t, k2t)
+        assert s.small_moduli
+        assert ref.close(s.k1, k1t)
+        assert ref.close(s.k2, k2t)
 
     @pytest.mark.parametrize("lx0", [lx for lx in C.LOG_X0_GRID if lx >= ref.LOG_SMALL])
     def test_chains_differ_only_in_their_inputs(self, lx0):
         # the small chain drops 0.94873 log q and starts its zeros at 200
         g, s = C.soz_constants(lx0), C.soz_constants_small(lx0)
-        assert g.k2 - s.k2_t == pytest.approx(0.94873 + g.nu1 - s.nu1_t, rel=1e-12)
-        assert replace(s, small_moduli=False, nu1_t=None, nu2_t=None,
-                       k1_t=None, k2_t=None) == g
+        assert g.k2 - s.k2 == pytest.approx(0.94873 + g.nu1 - s.nu1, rel=1e-12)
+        assert (s.nu3, s.nu4, s.f1, s.f2, s.f3) == (g.nu3, g.nu4, g.f1, g.f2, g.f3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -257,14 +256,14 @@ class TestTwisted:
         rest = 1.0 / sx + 1.0 / math.exp(lx0) + C.g2(10 ** 4) / (sx * lx0)
         _, _, tp, _ = C.chain(lx0, small=True)
         assert tp.sigma6 - rest == pytest.approx(
-            C.soz_constants_small(500.0).k1_t, rel=1e-12, abs=1e-12)
+            C.soz_constants_small(500.0).k1, rel=1e-12, abs=1e-12)
         soz, _, tp, _ = C.chain(lx0, small=True, self_consistent=True)
-        assert tp.sigma6 - rest == pytest.approx(soz.k1_t, rel=1e-12, abs=1e-12)
+        assert tp.sigma6 - rest == pytest.approx(soz.k1, rel=1e-12, abs=1e-12)
 
     def test_small_branch_sigma7(self):
         soz, si, tp, _ = C.chain(20.0, small=True)
-        assert soz.k2_t < 0
-        assert tp.sigma7 == pytest.approx(soz.k2_t * math.log(3.0), rel=1e-14)
+        assert soz.small_moduli and soz.k2 < 0
+        assert tp.sigma7 == pytest.approx(soz.k2 * math.log(3.0), rel=1e-14)
         assert tp.Omega2 == pytest.approx(-si.k4, rel=1e-15)
 
     def test_mismatched_records_rejected(self):

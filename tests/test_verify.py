@@ -29,7 +29,9 @@ def ap10():
 class TestTwistedBoundsEmpirical:
     """psi_chi/theta_chi against exact twisted sums for every chi mod 3..30."""
 
-    XS = [3e4, 1e5, 1e6, 1e7]
+    # four fixed points and six seeded ones in [e^14, 1e8], where the benchmark's start
+    XS = sorted([3e4, 1e5, 1e6, 1e7]
+                + np.exp(np.random.default_rng(2021).uniform(14.0, math.log(1e8), 6)).tolist())
 
     def test_every_character_within_bounds(self):
         _, _, tp, _ = C.chain(10.0)
@@ -47,7 +49,7 @@ class TestTwistedBoundsEmpirical:
                 assert np.all(np.abs(psi_chi[1:]) < rhs_psi), (q, x)
                 assert np.all(np.abs(theta_chi[1:]) < rhs_theta), (q, x)
                 checked += len(chars) - 1
-        assert checked == 992  # 248 non-principal characters at 4 points
+        assert checked == 2480  # 248 non-principal characters at 10 points
 
 
 class TestBptSuite:
