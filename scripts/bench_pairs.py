@@ -13,10 +13,22 @@ workloads are taken in turn, so slow drifts of the machine fall on both
 sides alike.  Each run reports its median over its rounds; the output
 gives, per workload and end-to-end metric, the median and quartiles of
 the runs on each side, the median of the paired differences (change -
-parent) and the number of pairs in which the change is lower.  With
---trace-workload, one more pair runs with --trace 1 and its per-layer
-metrics are recorded side by side.  Nothing else should run on the
-machine meanwhile.
+parent) and the number of pairs in which the change is lower.  Each
+metric also gets the bound that the end_to_end list of the change's
+BENCHMARK.json gives it, and a verdict, the first that holds of:
+
+  worse          the change's median is worse than the parent's by more
+                 than bound (relative to the parent's median);
+  gain           the change is better in at least 9 of 10 pairs (a tie
+                 counts for neither side) and the medians differ by more
+                 than the parent's interquartile range;
+  unresolved     the parent's interquartile range over its median exceeds
+                 bound, and not every change run beats every parent run;
+  no_regression  otherwise.
+
+With --trace-workload, one more pair runs with --trace 1 and its
+per-layer metrics are recorded side by side.  Nothing else should run on
+the machine meanwhile.
 """
 from __future__ import annotations
 
@@ -30,7 +42,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
@@ -85,9 +96,27 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """The module docstring's verdict on one metric's paired runs."""
+    sign = 1.0 if better == "lower" else -1.0
+    p = [sign * v for v in parent]  # lower is better from here on
+    c = [sign * v for v in change]
+    p1, pm, p3 = statistics.quantiles(p, n=4, method="inclusive")
+    cm = statistics.median(c)
+    if cm - pm > bound * abs(pm):
+        return "worse"
+    if 10 * sum(b < a for a, b in zip(p, c)) >= 9 * len(p) and pm - cm > p3 - p1:
+        return "gain"
+    if p3 - p1 > bound * abs(pm) and max(c) >= min(p):
+        return "unresolved"
+    return "no_regression"
+
+
+def compare(parent: list[float], change: list[float], bound: float, better: str) -> dict:
     p, c = spread(parent), spread(change)
     return {
+        "verdict": verdict(parent, change, bound, better),
+        "bound": bound,
         "paired_difference_median": round(statistics.median(
             b - a for a, b in zip(parent, change)), 4),
         "parent": p,
@@ -119,6 +148,8 @@ def main(argv=None) -> int:
         ap.error("--trace-workload needs --trace-seed")
     if len(args.seeds) < 2:
         ap.error("--seeds needs at least two seeds: the quartiles of a side need two runs")
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for i, seed in enumerate(args.seeds):
@@ -150,8 +181,9 @@ def main(argv=None) -> int:
             "pairs": len(args.seeds),
             "seeds": args.seeds,
             "metrics": {m: compare([r["metrics"][m]["value"] for r in sides["parent"]],
-                                   [r["metrics"][m]["value"] for r in sides["change"]])
-                        for m in END_TO_END},
+                                   [r["metrics"][m]["value"] for r in sides["change"]],
+                                   e["bound"], e["better"])
+                        for m, e in end_to_end.items()},
             "failed_attempted": {side: [[r["failed"], r["attempted"]] for r in sides[side]]
                                  for side in SIDES},
             "correct_in_every_run": all(r["correct"] for side in SIDES for r in sides[side]),

@@ -621,11 +621,11 @@ def _block_logs(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
 class DirichletCharacter:
     """A Dirichlet character mod q, stored as generator exponents.
 
-    value(n) is an exact root of unity exp(2 pi i j/e) with j =
-    exponent_of(n); parity is (1 - chi(-1))/2.  The generator-log matrix,
-    the unit mask and the table of e-th roots of unity are shared by every
-    character of the group; the weights are the exponents scaled to the
-    group exponent, so j = L[n] @ w mod e.
+    chi(n) is value_table()[n % q], an exact root of unity exp(2 pi i j/e)
+    with j = exponent_table()[n % q]; parity is (1 - chi(-1))/2.  The
+    generator-log matrix, the unit mask and the table of e-th roots of
+    unity are shared by every character of the group; the weights are the
+    exponents scaled to the group exponent, so j = L[n] @ w mod e.
     """
 
     q: int
@@ -641,18 +641,8 @@ class DirichletCharacter:
     _weights: np.ndarray = field(repr=False)  # (g,) exponents * (e // order), a row of W
     _roots: np.ndarray = field(repr=False)    # (e + 1,) exp(2 pi i j/e), 0 at e; shared
 
-    def exponent_of(self, n: int) -> int | None:
-        """Exponent j with chi(n) = exp(2 pi i j / group_exponent), or None."""
-        if math.gcd(n, self.q) != 1:
-            return None
-        return int(self._logs[n % self.q] @ self._weights) % self.group_exponent
-
-    def value(self, n: int) -> complex:
-        j = self.exponent_of(n)
-        return complex(self._roots[self.group_exponent if j is None else j])
-
     def exponent_table(self) -> np.ndarray:
-        """exponent_of for all residues; group_exponent marks non-units."""
+        """j with chi(n) = exp(2 pi i j/e) for n = 0..q-1; e marks non-units."""
         e = self.group_exponent
         return np.where(self._units, (self._logs @ self._weights) % e, e)
 
@@ -661,9 +651,10 @@ class DirichletCharacter:
         return self._roots[self.exponent_table()]
 
 
-@lru_cache(maxsize=64, typed=True)  # typed: 7.0 must not hit the entry of np.int64(7)
 def character_table(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) Dirichlet characters mod q, in Conrey-index order.
+
+    Each call builds its group afresh; nothing is kept between calls.
 
     The generator logs of the prime-power blocks (_block_logs) side by
     side make L.  The Conrey index of a character is the unit n whose logs
@@ -771,5 +762,6 @@ def psi_from_characters(x: float, q: int, a: int) -> float:
         raise DomainError(f"gcd({a}, {q}) > 1")
     mass = residue_masses(x, q, "psi")
     chars = character_table(q)
-    parts = [_exact_dot(chi.value_table(), mass) * chi.value(a).conjugate() for chi in chars]
+    tables = (chi.value_table() for chi in chars)  # lazily: all at once would hold phi(q) q values
+    parts = [_exact_dot(t, mass) * complex(t[a % q]).conjugate() for t in tables]
     return math.fsum(p.real for p in parts) / len(chars)

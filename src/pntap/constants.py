@@ -186,7 +186,7 @@ class SozConstants:
     + k2 sqrt(x) log q for x >= x0.  A record holds one zero sum: the
     general one, or with small_moduli the refinement for moduli up to 10^4
     and x0 >= 1.05e7, whose k1, k2 (the tables' k1~, k2~) rest on the
-    exactly computed low-zero sum omega.
+    exactly computed low-zero sum omega that soz_constants_small takes.
     """
 
     log_x0: float
@@ -202,7 +202,6 @@ class SozConstants:
     k1: float
     k2: float
     small_moduli: bool = False
-    omega: float = OMEGA_DEFAULT
 
     def __post_init__(self):
         if self.nu1 <= 0:
@@ -272,7 +271,7 @@ def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConst
         raise DomainError("omega must be positive")
     _require_log_x0(log_x0)
     tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, omega)
-    return replace(tilde, small_moduli=True, omega=omega)
+    return replace(tilde, small_moduli=True)
 
 
 # ---------------------------------------------------------------------------
