@@ -9,19 +9,21 @@ side: no estimates, only counts.
 
 Every exact sum (ResidueCounter, residue_masses, lambda_sum_interval,
 psi1_plain and the functions built on them) runs through one kernel,
-_lambda_sums: a single prime_segments pass, split at the requested cuts,
-with prime powers added from one sorted array.  prime_segments sieves
-odd numbers only, so a segment's mask is half its width.  Each mask
-starts from a pre-sieved wheel pattern free of the multiples of 3..17;
-the first offsets of the larger base primes are one array expression
-per segment, and the primes with few multiples in a segment are crossed
-off together by one vectorised scatter per round.  The moduli are
-folded into groups whose lcm L stays small: a group pays one residue
-pass (floor-divide, not %) and two bincounts per segment, keeps its
-per-residue float sums as a vectorised Neumaier (sum, compensation) pair
-of length L, and each member q is summed out of the L residues at a cut.
-3..30 take 5 such passes, not 28.  residue_masses keeps its last pass,
-so theta right after psi at the same x and q sieves once.
+_lambda_sums: a single prime_segments pass in segments of SEGMENT, split
+at the requested cuts, with prime powers added from one sorted array; it
+hands its base primes to prime_segments and higher_prime_powers, which
+sieve none.  prime_segments sieves odd numbers only, so a segment's mask
+is half its width.  Each mask starts from a pre-sieved wheel pattern
+free of the multiples of 3..17; the first offsets of the larger base
+primes are one array expression per segment, and the primes with few
+multiples in a segment are crossed off together by one vectorised
+scatter per round.  The moduli are folded into groups whose lcm L stays
+small: a group pays one residue pass (floor-divide, not %) and two
+bincounts per segment, keeps its per-residue float sums as a vectorised
+Neumaier (sum, compensation) pair of length L, and each member q is
+summed out of the L residues at a cut.  3..30 take 5 such passes, not
+28.  residue_masses keeps its last pass, so theta right after psi at the
+same x and q sieves once.
 
 A pass runs in fixed chunks of 8 segments (2^24 integers) from its
 start.  Every segment is sieved whole and its primes are split at the
@@ -62,7 +64,7 @@ from .errors import DomainError, ValidationError
 # the pass's peak memory fell with it.  A kernel pass runs in chunks of
 # _CHUNK_SEGMENTS segments, the unit of work of its forked workers (see
 # the module docstring).
-DEFAULT_SEGMENT = 1 << 21
+SEGMENT = 1 << 21
 _CHUNK_SEGMENTS = 8
 # The largest x an exact sum accepts: 2^53, below which every integer n <= x
 # is exact in float64.  The base primes up to sqrt(x) then take a bool array
@@ -133,8 +135,7 @@ def _odd_offsets(p: np.ndarray, o0: int) -> np.ndarray:
     return (p - o0 % p) * ((p + 1) >> 1) % p
 
 
-def prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
-                   base: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def prime_segments(lo: int, hi: int, segment: int, base: np.ndarray) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in [lo, hi], segment by segment.
 
     Each segment [start, stop) is sieved on its odd numbers only: mask
@@ -154,16 +155,13 @@ def prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
       one round per multiple.  A smaller prime takes one strided slice.
 
     The prime 2 is put in front of the segment that holds it.  `base`
-    holds the primes up to at least isqrt(hi), when the caller has them
-    (a kernel pass sieves them once for all its chunks).
+    holds the primes up to at least isqrt(hi); the kernel sieves them once
+    per pass for all its chunks, and its segment is SEGMENT.
     """
-    if segment < 1:
-        raise DomainError("sieve segment must be >= 1")
     if hi < lo or hi < 2:
         return
     lo = max(lo, 2)
-    bp = base_primes(math.isqrt(hi)) if base is None else base
-    bp = bp[np.searchsorted(bp, _WHEEL_PRIMES[-1], side="right"):]
+    bp = base[np.searchsorted(base, _WHEEL_PRIMES[-1], side="right"):]
     j_lo = (lo | 1) >> 1
     pattern = np.ones(min((hi + 1) // 2 - j_lo, _WHEEL), dtype=bool)
     for w, i in zip(_WHEEL_PRIMES, _odd_offsets(np.array(_WHEEL_PRIMES), lo | 1).tolist()):
@@ -200,11 +198,10 @@ def prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
         start = stop
 
 
-def higher_prime_powers(n: int, base: np.ndarray | None = None
-                        ) -> Iterator[tuple[int, int, float]]:
-    """All (p, p^k, log p) with k >= 2 and p^k <= n; `base`, when given,
-    holds the primes up to isqrt(n)."""
-    for p in (base_primes(math.isqrt(n)) if base is None else base).tolist():
+def higher_prime_powers(n: int, base: np.ndarray) -> Iterator[tuple[int, int, float]]:
+    """All (p, p^k, log p) with k >= 2 and p^k <= n; `base` holds the
+    primes up to isqrt(n)."""
+    for p in base.tolist():
         pk = p * p
         lp = math.log(p)
         while pk <= n:
@@ -225,6 +222,18 @@ def _modulus(q: int) -> int:
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return q
+
+
+def _unit_class(q: int, a: int) -> tuple[int, int]:
+    """(q, a) as ints for a class a mod q with gcd(a, q) = 1, else a domain error."""
+    q = _modulus(q)
+    try:
+        a = operator.index(a)
+    except TypeError:
+        raise DomainError(f"a must be an integer, got {a!r}") from None
+    if math.gcd(a, q) != 1:
+        raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
+    return q, a
 
 
 def _floor_int(x: float) -> int:
@@ -363,8 +372,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
-                 x: float | None = None, segment: int = DEFAULT_SEGMENT
+def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int], x: float | None = None
                  ) -> Iterator[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Per-residue (pi, theta, psi) over lo <= n <= cut, at each cut.
 
@@ -386,8 +394,9 @@ def _lambda_sums(lo: int, cuts: Sequence[int], moduli: Sequence[int],
     daemonic process or without fork, the chunks run here.  The parts and
     the order of the sums are the same either way, so the results do not
     depend on the CPU count.
-    The base primes are sieved once per pass; the workers inherit them.
+    SEGMENT and the base primes are read once per pass; workers inherit both.
     """
+    segment = SEGMENT
     hi = cuts[-1]
     base = base_primes(math.isqrt(hi))
     base.flags.writeable = False
@@ -504,14 +513,13 @@ class ResidueCounter:
     segments.
     """
 
-    def __init__(self, q: int | Sequence[int], segment: int = DEFAULT_SEGMENT):
+    def __init__(self, q: int | Sequence[int]):
         qs = [_modulus(m) for m in ([q] if np.ndim(q) == 0 else q)]
         if not qs:
             raise DomainError("need at least one modulus")
         if len(set(qs)) != len(qs):
             raise DomainError("duplicate moduli")
         self.qs = qs
-        self.segment = segment
 
     def counts_at_multi(self, xs: Sequence[float]) -> dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         xs = list(xs)
@@ -523,7 +531,7 @@ class ResidueCounter:
             raise DomainError("evaluation points must be ascending")
         cuts = [_floor_int(x) for x in xs]
         results: dict[int, list] = {q: [] for q in self.qs}
-        for snap in _lambda_sums(2, cuts, self.qs, segment=self.segment):
+        for snap in _lambda_sums(2, cuts, self.qs):
             for q in self.qs:
                 results[q].append(snap[q])
         return results
@@ -533,21 +541,19 @@ def ap_counts(x: float, q: int, a: int) -> APCounts:
     """Exact pi/theta/psi at x in the class a mod q (q = 1: unrestricted)."""
     if x < 2:
         raise DomainError("requires x >= 2")
-    q = _modulus(q)
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"gcd({a}, {q}) > 1: the class holds at most one prime power")
+    q, a = _unit_class(q, a)
     pi_q, th_q, ps_q = ResidueCounter(q).counts_at_multi([x])[q][0]
     r = a % q
     return APCounts(x=x, q=q, a=a, pi=int(pi_q[r]), theta=float(th_q[r]), psi=float(ps_q[r]))
 
 
-def lambda_sum_interval(a: float, b: float, segment: int = DEFAULT_SEGMENT) -> float:
+def lambda_sum_interval(a: float, b: float) -> float:
     """Sum of Lambda(n) over a < n <= b, by sieving just the window."""
     lo = max(_floor_int(a) + 1, 2)
     hi = _floor_int(b)
     if hi < lo:
         return 0.0
-    (snap,) = _lambda_sums(lo, [hi], [1], segment=segment)
+    (snap,) = _lambda_sums(lo, [hi], [1])
     return float(snap[1][2][0])
 
 
@@ -619,7 +625,7 @@ def _block_logs(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class DirichletCharacter:
-    """A Dirichlet character mod q, stored as generator exponents.
+    """A Dirichlet character mod q, stored as weights over the generators.
 
     chi(n) is value_table()[n % q], an exact root of unity exp(2 pi i j/e)
     with j = exponent_table()[n % q]; parity is (1 - chi(-1))/2.  The
@@ -630,7 +636,6 @@ class DirichletCharacter:
 
     q: int
     index: int
-    exponents: tuple[int, ...]
     group_exponent: int
     parity: int
     is_principal: bool
@@ -708,12 +713,11 @@ def character_table(q: int) -> tuple[DirichletCharacter, ...]:
 
     chars = tuple(
         DirichletCharacter(
-            q=q, index=ix, exponents=tuple(ex), group_exponent=group_exp,
+            q=q, index=ix, group_exponent=group_exp,
             parity=int(par), is_principal=pri, is_primitive=cond == q, conductor=cond,
             _logs=logs, _units=units, _weights=w, _roots=roots)
-        for ix, ex, par, pri, cond, w in zip(
-            index.tolist(), exps.tolist(), parity.tolist(), principal.tolist(),
-            conductor.tolist(), weights))
+        for ix, par, pri, cond, w in zip(
+            index.tolist(), parity.tolist(), principal.tolist(), conductor.tolist(), weights))
     if len(chars) != euler_phi(q):
         raise ValidationError("character construction lost characters")
     return chars
@@ -757,9 +761,7 @@ def _exact_dot(values: np.ndarray, mass: np.ndarray) -> complex:
 
 def psi_from_characters(x: float, q: int, a: int) -> float:
     """Reconstruct psi(x; q, a) from twisted sums by orthogonality."""
-    q = _modulus(q)
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"gcd({a}, {q}) > 1")
+    q, a = _unit_class(q, a)
     mass = residue_masses(x, q, "psi")
     chars = character_table(q)
     tables = (chi.value_table() for chi in chars)  # lazily: all at once would hold phi(q) q values

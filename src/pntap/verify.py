@@ -16,7 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import ResidueCounter, euler_phi, psi1_plain, short_interval_psi_delta
+from .arith import ResidueCounter, _unit_class, euler_phi, psi1_plain, \
+    short_interval_psi_delta
 from .constants import APConstants, ShortIntervalConstants, evaluate_bounds, \
     gm_baseline_pi_bound
 from .errors import CoverageError, DomainError
@@ -59,7 +60,7 @@ class BoundReport:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def add(self, x, q, a, lhs, rhs, what="", skip_nonpositive_rhs=False):
+    def add(self, x, q, a, lhs, rhs, what, skip_nonpositive_rhs=False):
         if skip_nonpositive_rhs and rhs <= 0.0:
             self.samples.append(BoundSample(x, q, a, lhs, rhs, rhs - lhs, what, skipped=True))
             self.skipped += 1
@@ -169,6 +170,8 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
     """
     if zeros.kind != "zeta":
         raise DomainError("verify_psi1_explicit needs a zeta table")
+    if len(xs) == 0:  # a suite over no x would pass on no sample
+        raise DomainError("need at least one evaluation point")
     if t_trunc is None:
         if zeros.max_height < GAMMA_1:
             raise CoverageError(f"table height {zeros.max_height} is below GAMMA_1 = {GAMMA_1}")
@@ -197,6 +200,8 @@ def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
 def verify_short_interval(si: ShortIntervalConstants, xs: Sequence[float]) -> BoundReport:
     """Check |psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x| against its
     bound; samples with non-positive right side are skipped, not failed."""
+    if len(xs) == 0:  # a suite over no x would pass on no sample
+        raise DomainError("need at least one evaluation point")
     t0 = time.perf_counter()
     report = BoundReport("short_interval_psi")
     x0 = math.exp(si.log_x0)
@@ -216,8 +221,7 @@ def verify_ap_bounds(ap: APConstants, q: int, a: int, xs: Sequence[float]) -> Bo
     One sieve pass serves all xs; right-hand sides come from
     evaluate_bounds, main terms from Li(x)/phi(q) and x/phi(q).
     """
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"gcd({a}, {q}) > 1")
+    q, a = _unit_class(q, a)
     t0 = time.perf_counter()
     report = BoundReport(f"ap_bounds_q{q}_a{a}")
     xs = sorted(xs)
@@ -264,6 +268,8 @@ def compare_gm_baseline(ap: APConstants, q: int, xs: Sequence[float]) -> BoundRe
     Comparison only: margin > 0 means our bound is smaller (better) at
     that x.  Nothing is counted as a violation.
     """
+    if len(xs) == 0:  # a suite over no x would pass on no sample
+        raise DomainError("need at least one evaluation point")
     t0 = time.perf_counter()
     report = BoundReport(f"gm_baseline_q{q}")
     for x in xs:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pntap.constants as C
-from pntap.arith import (ResidueCounter, ap_counts, base_primes,
+from pntap.arith import (SEGMENT, ResidueCounter, ap_counts, base_primes,
                          higher_prime_powers, prime_segments,
                          psi_from_characters)
 from pntap.verify import (compare_gm_baseline, verify_ap_bounds, verify_bpt,
@@ -163,9 +163,10 @@ def test_criterion_7_exact_arithmetic():
             while pk <= n_max:
                 oracle_powers.add(pk)
                 pk *= p
-    package_primes = np.concatenate(list(prime_segments(2, n_max)))
+    base = base_primes(math.isqrt(n_max))
+    package_primes = np.concatenate(list(prime_segments(2, n_max, SEGMENT, base)))
     same_primes = np.array_equal(package_primes, np.flatnonzero(flags))
-    package_powers = {pk for _, pk, _ in higher_prime_powers(n_max)}
+    package_powers = {pk for _, pk, _ in higher_prime_powers(n_max, base)}
     same_powers = package_powers == oracle_powers
 
     # assembled counts vs oracle cumulative sums, every class of every q <= 30

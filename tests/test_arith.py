@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pntap.arith as arith
-from pntap.arith import (_FOLD_LCM_MAX, _WHEEL, DEFAULT_SEGMENT, SIEVE_X_MAX, APCounts,
+from pntap.arith import (_FOLD_LCM_MAX, _WHEEL, SEGMENT, SIEVE_X_MAX, APCounts,
                          ResidueCounter, _floor_int, _fold_groups, ap_counts,
                          base_primes, character_table,
                          euler_phi,
@@ -31,6 +31,11 @@ def psi(x: float) -> float:
 def twisted(x: float, chi, kind: str) -> complex:
     """The twisted sum of chi over n <= x from one residue_masses pass."""
     return chi.value_table() @ residue_masses(x, chi.q, kind)
+
+
+def sieve(lo: int, hi: int, segment: int) -> list[np.ndarray]:
+    """The arrays prime_segments yields for [lo, hi], given its base primes."""
+    return list(prime_segments(lo, hi, segment, base_primes(math.isqrt(max(hi, 0)))))
 
 
 # ------------------------- independent oracles ----------------------------
@@ -82,15 +87,15 @@ class TestSieve:
         assert base_primes(1).size == 0
 
     def test_segmented_vs_monolithic_bit_for_bit(self):
-        mono = np.concatenate(list(prime_segments(2, 50000, segment=1 << 26)))
-        seg = np.concatenate(list(prime_segments(2, 50000, segment=1024)))
+        mono = np.concatenate(sieve(2, 50000, 1 << 26))
+        seg = np.concatenate(sieve(2, 50000, 1024))
         assert np.array_equal(mono, seg)
         # and against the naive oracle
         naive = np.array([n for n in range(2, 5001) if is_prime_naive(n)])
         assert np.array_equal(mono[mono <= 5000], naive)
 
     def test_prime_powers(self):
-        got = sorted(pk for _, pk, _ in higher_prime_powers(100))
+        got = sorted(pk for _, pk, _ in higher_prime_powers(100, base_primes(10)))
         assert got == [4, 8, 9, 16, 25, 27, 32, 49, 64, 81]
 
     def test_pi_100_4_1(self):
@@ -113,16 +118,18 @@ class TestSieve:
             if q == 1:
                 break
 
-    def test_checkpoints_match_single_calls(self):
+    def test_checkpoints_match_single_calls(self, monkeypatch):
         cases = [
-            (DEFAULT_SEGMENT, [100.0, 543.0, 2000.0]),
+            (SEGMENT, [100.0, 543.0, 2000.0]),
             # segments of 1024 start at 2, 1026, 2050, ...: the last and the
             # first integer of a segment, a prime (1031), prime powers
             # (2048, 2187) and a repeated checkpoint
             (1024, [1025.0, 1026.0, 1031.0, 2048.0, 2187.0, 2187.0, 5000.5]),
         ]
         for segment, xs in cases:
-            multi = ResidueCounter(7, segment=segment).counts_at_multi(xs)[7]
+            with monkeypatch.context() as m:
+                m.setattr(arith, "SEGMENT", segment)
+                multi = ResidueCounter(7).counts_at_multi(xs)[7]
             assert len(multi) == len(xs)
             for x, snap in zip(xs, multi):
                 single = ResidueCounter(7).counts_at_multi([x])[7][0]
@@ -130,9 +137,10 @@ class TestSieve:
                 assert np.allclose(snap[1], single[1], rtol=0, atol=1e-12)
                 assert np.allclose(snap[2], single[2], rtol=0, atol=1e-12)
 
-    def test_large_moduli_against_plain_sieve(self):
+    def test_large_moduli_against_plain_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "SEGMENT", 4096)
         xs = [1.0e5, 2.0e5]
-        snaps = ResidueCounter([9973, 10000], segment=4096).counts_at_multi(xs)
+        snaps = ResidueCounter([9973, 10000]).counts_at_multi(xs)
         for q in (9973, 10000):
             for x, (pi_q, th_q, ps_q) in zip(xs, snaps[q]):
                 primes = base_primes(int(x))
@@ -152,6 +160,8 @@ class TestSieve:
     def test_gcd_precondition(self):
         with pytest.raises(DomainError):
             ap_counts(100, 4, 2)
+        with pytest.raises(DomainError):
+            psi_from_characters(100, 4, 2)
 
     def test_sieve_limit_is_inclusive(self):
         assert _floor_int(SIEVE_X_MAX) == 2 ** 53
@@ -208,7 +218,7 @@ class TestOddOnlySegments:
         oracle = base_primes(max(self.ENDS))
         for lo in self.ENDS:
             for hi in self.ENDS:
-                parts = list(prime_segments(lo, hi, segment=segment))
+                parts = sieve(lo, hi, segment)
                 want = oracle[(oracle >= lo) & (oracle <= hi)]
                 got = np.concatenate(parts) if parts else np.empty(0, np.int64)
                 assert got.dtype == np.int64
@@ -241,20 +251,21 @@ class TestWheelSieve:
     @example((2 * _WHEEL - 1, 2 * _WHEEL + 99, 7))
     def test_equals_base_primes(self, window):
         lo, hi, segment = window
-        parts = list(prime_segments(lo, hi, segment=segment))
+        parts = sieve(lo, hi, segment)
         got = np.concatenate(parts) if parts else np.empty(0, np.int64)
         want = base_primes(hi)
         assert got.dtype == np.int64
         assert np.array_equal(got, want[want >= lo])
 
-    @pytest.mark.parametrize("segment", [1024, DEFAULT_SEGMENT])
-    def test_high_window_against_sympy(self, segment):
+    @pytest.mark.parametrize("segment", [1024, SEGMENT])
+    def test_high_window_against_sympy(self, monkeypatch, segment):
         # the base primes run to 1e6; a 1024-wide segment has 512 mask
         # entries, so every base prime above 17 goes through the scatter
         sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(arith, "SEGMENT", segment)
         lo, hi = 10 ** 12, 10 ** 12 + 20_000
         want = list(sympy.primerange(lo, hi + 1))
-        got = np.concatenate(list(prime_segments(lo, hi, segment=segment)))
+        got = np.concatenate(sieve(lo, hi, segment))
         assert got.tolist() == want
         mass = [math.log(p) for p in want if p > lo]
         for k in range(2, hi.bit_length()):
@@ -263,7 +274,7 @@ class TestWheelSieve:
                 if sympy.isprime(r):
                     mass.append(math.log(r))
                 r -= 1
-        assert lambda_sum_interval(lo, hi, segment=segment) == pytest.approx(
+        assert lambda_sum_interval(lo, hi) == pytest.approx(
             math.fsum(mass), rel=1e-13)
 
 
@@ -285,6 +296,12 @@ class TestModulusValidation:
                      lambda: psi_from_characters(1e4, 7.5, 2), lambda: euler_phi(7.5)):
             with pytest.raises(DomainError, match="q must be an integer"):
                 call()
+
+    def test_non_integer_residue_is_domain_error(self):
+        for call in (lambda: ap_counts(1e5, 7, 1.5), lambda: psi_from_characters(1e4, 7, 1.5)):
+            with pytest.raises(DomainError, match="a must be an integer"):
+                call()
+        assert ap_counts(1e5, 7, np.int64(3)) == ap_counts(1e5, 7, 3)
 
     def test_numpy_integer_moduli(self):
         want = ResidueCounter(7).counts_at_multi([1000.0])[7][0]
@@ -356,8 +373,9 @@ class TestModuliFold:
         assert len(_fold_groups(range(3, 31))) == 5
         assert len(_fold_groups([9973, 9240, 8192, 10000])) == 4
 
-    def test_against_plain_sieve(self):
-        snaps = ResidueCounter(self.MODULI, segment=4096).counts_at_multi(self.XS)
+    def test_against_plain_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "SEGMENT", 4096)
+        snaps = ResidueCounter(self.MODULI).counts_at_multi(self.XS)
         for q in self.MODULI:
             for x, (pi_q, th_q, ps_q) in zip(self.XS, snaps[q]):
                 pi, theta, psi = plain_class_sums(x, q)
@@ -365,14 +383,15 @@ class TestModuliFold:
                 assert np.allclose(th_q, theta, rtol=0, atol=1e-9), (q, x)
                 assert np.allclose(ps_q, psi, rtol=0, atol=1e-9), (q, x)
 
-    def test_order_and_company_do_not_matter(self):
-        base = ResidueCounter(self.MODULI, segment=4096).counts_at_multi(self.XS)
+    def test_order_and_company_do_not_matter(self, monkeypatch):
+        monkeypatch.setattr(arith, "SEGMENT", 4096)
+        base = ResidueCounter(self.MODULI).counts_at_multi(self.XS)
         shuffled = list(self.MODULI)
         np.random.default_rng(6).shuffle(shuffled)
         assert shuffled != self.MODULI
-        again = ResidueCounter(shuffled, segment=4096).counts_at_multi(self.XS)
+        again = ResidueCounter(shuffled).counts_at_multi(self.XS)
         for q in self.MODULI:
-            single = ResidueCounter([q], segment=4096).counts_at_multi(self.XS)[q]
+            single = ResidueCounter([q]).counts_at_multi(self.XS)[q]
             for a, b, c in zip(base[q], again[q], single):
                 for u, v in zip(a, b):
                     assert np.array_equal(u, v)
@@ -386,7 +405,7 @@ class TestModuliFold:
         x = 10 ** 6
         primes = base_primes(x)
         logs = np.log(primes.astype(float))
-        powers = [(pk, lp) for _, pk, lp in higher_prime_powers(x)]
+        powers = [(pk, lp) for _, pk, lp in higher_prime_powers(x, base_primes(math.isqrt(x)))]
         moduli = list(range(3, 31))
         snaps = ResidueCounter(moduli).counts_at_multi([float(x)])
         for q in moduli:
@@ -411,8 +430,12 @@ class TestChunkedPass:
     SEGMENT = 64
     MODULI = [1, 3, 4, 30, 9973]
 
+    @pytest.fixture(autouse=True)
+    def small_segments(self, monkeypatch):
+        monkeypatch.setattr(arith, "SEGMENT", self.SEGMENT)
+
     def run(self, xs, moduli=MODULI):
-        return ResidueCounter(moduli, segment=self.SEGMENT).counts_at_multi(xs)
+        return ResidueCounter(moduli).counts_at_multi(xs)
 
     @pytest.fixture(autouse=True)
     def time_limit(self):
@@ -435,7 +458,7 @@ class TestChunkedPass:
         for cpus in (1, arith._usable_cpus(), 3):
             usable_cpus(monkeypatch, cpus)
             passes.clear()
-            runs[cpus] = (self.run(xs), lambda_sum_interval(1000.5, 2.0e4, segment=self.SEGMENT))
+            runs[cpus] = (self.run(xs), lambda_sum_interval(1000.5, 2.0e4))
             assert bool(passes) == (cpus == 1), cpus
         want_snaps, want_window = runs.pop(1)
         for snaps, window in runs.values():
@@ -465,7 +488,7 @@ class TestChunkedPass:
         process: segments from 2 on, split at the cuts, their sums added
         in order by Neumaier."""
         acc, out, i = np.zeros((2, q)), [], 0
-        for pr in prime_segments(2, cuts[-1], segment=segment):
+        for pr in sieve(2, cuts[-1], segment):
             w = np.log(pr, dtype=np.float64)
             start = 0
             while i < len(cuts) and pr.size and pr[-1] > cuts[i]:
@@ -485,9 +508,10 @@ class TestChunkedPass:
         # to round otherwise
         usable_cpus(monkeypatch, 3)
         segment = 4096
+        monkeypatch.setattr(arith, "SEGMENT", segment)
         cuts = [32769, 40000, 40000, 50001, 61234, 100003, 300000]
         want = self.unchunked_theta(cuts, q, segment)
-        snaps = ResidueCounter(q, segment=segment).counts_at_multi([float(c) for c in cuts])[q]
+        snaps = ResidueCounter(q).counts_at_multi([float(c) for c in cuts])[q]
         for (_, theta, _), ref in zip(snaps, want):
             assert np.array_equal(theta, ref)
 
@@ -519,11 +543,13 @@ class TestChunkedPass:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
 
-    def test_one_chunk_starts_no_process(self, no_process):
+    def test_one_chunk_starts_no_process(self, monkeypatch, no_process):
         # up to 513 is chunk 0, however many cuts split it
         self.run([100.0, 200.0, 513.0])
-        lambda_sum_interval(600.0, 1111.0, segment=self.SEGMENT)
-        residue_masses(1.0e6 + 0.25, 1001, "psi1")
+        lambda_sum_interval(600.0, 1111.0)
+        with monkeypatch.context() as m:  # 1e6 lies in the first chunk of full segments
+            m.setattr(arith, "SEGMENT", SEGMENT)
+            residue_masses(1.0e6 + 0.25, 1001, "psi1")
         # one integer past the chunk does start one
         with pytest.raises(AssertionError, match="process was started"):
             self.run([514.0])
@@ -552,7 +578,7 @@ class TestChunkedPass:
         usable_cpus(monkeypatch, 3)
         # past the first cut the workers stall, so they are busy at the close
         self.in_workers(monkeypatch, lambda n: n.size and n[0] > 600 and time.sleep(60))
-        passes = arith._lambda_sums(2, [600, 3000, 9000], [3, 4], segment=self.SEGMENT)
+        passes = arith._lambda_sums(2, [600, 3000, 9000], [3, 4])
         first = next(passes)
         assert int(first[3][0].sum()) == 109  # pi(600)
         assert len(multiprocessing.active_children()) == 3
@@ -597,11 +623,13 @@ class TestShortInterval:
         assert short_interval_psi_delta(x) == pytest.approx(
             -math.sqrt(2.0) * math.log(2.0), rel=1e-15)
 
-    def test_window_is_difference_of_psi(self):
+    def test_window_is_difference_of_psi(self, monkeypatch):
         # windows that start or end on a prime power, sieved in tiny segments
         for a, b in [(1024, 2187), (1000.5, 1024), (1023, 1024), (1024, 1024),
                      (2187, 3125), (2186.9, 2187.0), (3125, 4000.25)]:
-            got = lambda_sum_interval(a, b, segment=64)
+            with monkeypatch.context() as m:
+                m.setattr(arith, "SEGMENT", 64)
+                got = lambda_sum_interval(a, b)
             assert got == pytest.approx(psi(b) - psi(a), abs=1e-9)
 
     def test_window_beyond_the_limit_names_x_and_its_end(self):

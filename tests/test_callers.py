@@ -9,6 +9,9 @@ so re-exporting a name from pntap/__init__.py gives it no caller.
 
 Every defaulted parameter of src/pntap is named in DEFAULTS with the
 reason it has a default, so a new default, like a new option, needs one.
+A reason names callers, and the calls of those same files show them: some
+call passes the parameter, by keyword or by position, and some call takes
+its default.  Otherwise only tests set the option or take the default.
 """
 import ast
 from pathlib import Path
@@ -26,20 +29,8 @@ ALLOWED = {
 # every defaulted parameter of src/pntap as (module, function, parameter);
 # a method is "Class.method", a nested function "outer.inner"
 DEFAULTS = {
-    ("arith", "prime_segments", "segment"):
-        "the kernel passes its pass's segment; the sieve tests and criterion 7 take the default",
-    ("arith", "prime_segments", "base"):
-        "the kernel passes the base primes it sieves once per pass; criterion 7 does not",
-    ("arith", "higher_prime_powers", "base"):
-        "the kernel passes the base primes it sieves once per pass; criterion 7 does not",
     ("arith", "_lambda_sums", "x"):
         "psi1 passes weight by (x - n); the pi, theta and psi passes do not",
-    ("arith", "_lambda_sums", "segment"):
-        "ResidueCounter and lambda_sum_interval pass theirs; residue_masses takes the default",
-    ("arith", "ResidueCounter.__init__", "segment"):
-        "tests cut passes inside and across small segments; program callers take the default",
-    ("arith", "lambda_sum_interval", "segment"):
-        "tests sieve windows in small segments; short_interval_psi_delta takes the default",
     ("cli", "_load_zeros", "kind"):
         "the lehman suite loads Dirichlet zeros; the zeta suites take the default",
     ("cli", "main", "argv"):
@@ -57,14 +48,28 @@ DEFAULTS = {
         "tests set it to reach the tolerance and the ConvergenceError paths",
     ("quadrature", "integrate", "max_intervals"):
         "a test sets it to run out of intervals",
-    ("verify", "BoundReport.add", "what"): "the suites label their samples; tests need not",
     ("verify", "BoundReport.add", "skip_nonpositive_rhs"):
         "the suites whose right-hand side can be non-positive set it",
     ("verify", "verify_psi1_explicit", "t_trunc"):
         "--t-trunc sets it; without it the suite truncates at min(1e4, the table's height)",
     ("zeros", "load_zero_table", "kind"):
-        "the CLI's Dirichlet suites set it; zeta tables take the default",
+        "the CLI's Dirichlet suites set it; the tests load zeta tables with the default",
     ("zeros", "load_zero_table", "label"): "the CLI sets it to pick one character's zeros",
+}
+
+# DEFAULTS entries that no call of program code passes, or that every such
+# call passes, each kept for a named reason
+TESTS_ONLY = {
+    ("constants", "soz_constants_small", "omega"):
+        "never passed: ROADMAP item 5 sets omega from the Dirichlet zeros it builds",
+    ("quadrature", "integrate", "tol"): "never called: the tests' reference integrator",
+    ("quadrature", "integrate", "max_intervals"): "never called: the tests' reference integrator",
+    ("constants", "chain", "small"): "always passed: every CLI call passes --small",
+    ("errors", "ParseError.__init__", "line_number"):
+        "always passed: unpickling, which no call shows, takes the default",
+    ("verify", "verify_psi1_explicit", "t_trunc"):
+        "always passed: the CLI passes --t-trunc, None when it is not given",
+    ("zeros", "load_zero_table", "kind"): "always passed: every caller names the kind",
 }
 
 
@@ -93,6 +98,13 @@ def _referenced(node: ast.AST, docstrings: set[int]) -> set[str]:
     return names
 
 
+def _caller_files() -> list[Path]:
+    """perfbench/*.py and scripts/*.py other than their test files."""
+    return [path for path in sorted([*(ROOT / "perfbench").glob("*.py"),
+                                     *(ROOT / "scripts").glob("*.py")])
+            if not path.name.startswith("test_")]
+
+
 def _definitions_and_references():
     """(public top-level names of src/pntap, names referenced by callers)."""
     defined, refs = set(), set()
@@ -105,34 +117,68 @@ def _definitions_and_references():
                 defined.add(stmt.name)
                 names.discard(stmt.name)
             refs |= names
-    for path in sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
-        if not path.name.startswith("test_"):
-            tree = ast.parse(path.read_text())
-            refs |= _referenced(tree, _docstrings(tree))
+    for path in _caller_files():
+        tree = ast.parse(path.read_text())
+        refs |= _referenced(tree, _docstrings(tree))
     return defined, refs
 
 
 def _defaulted_parameters():
-    """(module, function, parameter) of every defaulted parameter of src/pntap."""
-    out = set()
+    """{(module, function, parameter): (required, position)} for every
+    defaulted parameter of src/pntap: the number of parameters a call must
+    pass by position or keyword, and the parameter's position in a call
+    (None if keyword-only); a method's self is not counted."""
+    out = {}
 
-    def visit(node, module, prefix):
+    def visit(node, module, prefix, in_class):
         for sub in ast.iter_child_nodes(node):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = sub.args
-                positional = args.posonlyargs + args.args
-                named = positional[len(positional) - len(args.defaults):]
-                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-                out.update((module, prefix + sub.name, a.arg) for a in named)
-                visit(sub, module, prefix + sub.name + ".")
+                positional = [a.arg for a in args.posonlyargs + args.args][in_class:]
+                required = len(positional) - len(args.defaults)
+                for i, name in enumerate(positional[required:], required):
+                    out[module, prefix + sub.name, name] = (required, i)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        out[module, prefix + sub.name, a.arg] = (required, None)
+                visit(sub, module, prefix + sub.name + ".", False)
             elif isinstance(sub, ast.ClassDef):
-                visit(sub, module, prefix + sub.name + ".")
+                visit(sub, module, prefix + sub.name + ".", True)
             else:
-                visit(sub, module, prefix)
+                visit(sub, module, prefix, in_class)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, "")
+        visit(ast.parse(path.read_text()), path.stem, "", False)
     return out
+
+
+def _passes_and_takes():
+    """The DEFAULTS entries some call of program code passes, and those
+    some such call leaves to their default.
+
+    A call counts for a function when it names it (a constructor call names
+    the class of an __init__) and passes at least the required arguments,
+    so set.add(x) and the kernel's own four-argument add do not count for
+    BoundReport.add."""
+    calls = []
+    for path in [*sorted(SRC.glob("*.py")), *_caller_files()]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}))
+    passed, taken = set(), set()
+    for (module, function, param), (required, position) in _defaulted_parameters().items():
+        parts = function.split(".")
+        name = parts[-2] if parts[-1] == "__init__" else parts[-1]
+        for called, n_args, keywords in calls:
+            if called != name or n_args + len(keywords) < required:
+                continue
+            if param in keywords or (position is not None and n_args > position):
+                passed.add((module, function, param))
+            else:
+                taken.add((module, function, param))
+    return passed, taken
 
 
 def test_every_public_function_has_a_caller():
@@ -150,6 +196,22 @@ def test_allow_list_holds_only_uncalled_names():
 
 def test_every_default_is_named():
     # a new default joins DEFAULTS with its reason; a removed one leaves it
-    got = _defaulted_parameters()
+    got = set(_defaulted_parameters())
     assert sorted(got - set(DEFAULTS)) == [], "defaults without a reason"
     assert sorted(set(DEFAULTS) - got) == [], "named defaults that are gone"
+
+
+def test_program_code_passes_and_takes_every_default():
+    # an option only tests set, or a default only tests take, has no reason
+    passed, taken = _passes_and_takes()
+    checked = set(DEFAULTS) - set(TESTS_ONLY)
+    unset, untaken = sorted(checked - passed), sorted(checked - taken)
+    assert not unset and not untaken, \
+        f"no program call passes {unset}; every program call passes {untaken}"
+
+
+def test_tests_only_list_holds_only_such_defaults():
+    # an entry whose parameter gains the caller it lacked leaves the list
+    passed, taken = _passes_and_takes()
+    assert set(TESTS_ONLY) <= set(DEFAULTS)
+    assert sorted(k for k in TESTS_ONLY if k in passed and k in taken) == []

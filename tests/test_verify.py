@@ -152,8 +152,20 @@ class TestApBoundsSuite:
         assert kinds == {"pi", "theta", "psi"}
 
     def test_gcd_precondition(self, ap10):
-        with pytest.raises(DomainError):
-            verify_ap_bounds(ap10, 4, 2, [1e5])
+        # a non-integer modulus or residue is a domain error as well
+        for q, a in [(4, 2), (7.5, 1), (7, 1.5)]:
+            with pytest.raises(DomainError):
+                verify_ap_bounds(ap10, q, a, [1e5])
+
+
+def test_no_points_is_domain_error(zeta_table, si10, ap10):
+    # a suite over no x would pass on no sample
+    for call in (lambda: verify_psi1_explicit(zeta_table, []),
+                 lambda: verify_short_interval(si10, []),
+                 lambda: verify_ap_bounds(ap10, 3, 1, []),
+                 lambda: compare_gm_baseline(ap10, 3, [])):
+        with pytest.raises(DomainError, match="at least one evaluation point"):
+            call()
 
 
 class TestLehmanSuite:
@@ -215,6 +227,6 @@ class TestReportSerialization:
 
     def test_violation_counted(self):
         r = BoundReport("demo")
-        r.add(10.0, 3, 1, 3.0, 2.0)
+        r.add(10.0, 3, 1, 3.0, 2.0, what="psi")
         assert not r.passed
         assert r.violations == 1
