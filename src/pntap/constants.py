@@ -197,7 +197,6 @@ class SozConstants:
     f1: float
     f2: float
     f3: float
-    f4: float
     f5: float
     k1: float
     k2: float
@@ -239,12 +238,11 @@ def _zero_sum(log_x0: float, lower: float, log_term: float,
     f2 = fac12 * (1.0 / TWO_PI - llx / (PI * log_x0))
     f3 = fac12 * (0.5850 * llx / log_x0 - 0.2925) \
         + fac32 * (1.0 / TWO_PI + (0.247 * log_x0 + 13.0034) / sx)
-    f4 = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1 + nu3 + low_log_q
+    k2 = fac32 * (1.0 / PI + 0.494 * log_x0 / sx) + nu1 + nu3 + low_log_q
     f5 = (nu2 + nu4 + low_const) * fac12 - 0.5334
     return SozConstants(
         log_x0=log_x0, nu1=nu1, nu2=nu2, nu3=nu3, nu4=nu4,
-        f1=f1, f2=f2, f3=f3, f4=f4, f5=f5,
-        k1=f3 + f5 / log_x0, k2=f4,
+        f1=f1, f2=f2, f3=f3, f5=f5, k1=f3 + f5 / log_x0, k2=k2,
     )
 
 
@@ -308,7 +306,8 @@ class KappaParams:
 @dataclass(frozen=True)
 class ShortIntervalConstants:
     """Constants in |psi(x + sqrt(x) log x) - psi(x) - sqrt(x) log x|
-    < k3 sqrt(x) log x - k4 for x >= x0."""
+    < k3 sqrt(x) log x - k4 for x >= x0, with k3 = ell5 + ell7 and
+    k4 = ell1 - ell4 computed from the stored ell terms."""
 
     log_x0: float
     kappa: KappaParams
@@ -318,16 +317,17 @@ class ShortIntervalConstants:
     ell3: float
     ell4: float
     ell5: float
-    ell6: float
     ell7: float
-    k3: float
-    k4: float
+
+    @property
+    def k3(self) -> float:
+        return self.ell5 + self.ell7
+
+    @property
+    def k4(self) -> float:
+        return self.ell1 - self.ell4
 
     def __post_init__(self):
-        if abs(self.k3 - (self.ell5 + self.ell7)) > 1e-12 * max(1.0, abs(self.k3)):
-            raise ValidationError("k3 must equal ell5 + ell7")
-        if abs(self.k4 + self.ell6) > 1e-12 * max(1.0, abs(self.k4)):
-            raise ValidationError("k4 must equal -ell6")
         if self.k3 <= 0:
             raise ValidationError("k3 must be positive")
 
@@ -407,12 +407,9 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
                    + 2.0 * count_remainder_R(k1e) / math.sqrt(0.25 + k1e * k1e)
                    + 2.0 * count_remainder_R(GAMMA_1) / math.sqrt(0.25 + GAMMA_1 ** 2)
                    + 0.04509)
-    ell6 = -ell1 + ell4
     return ShortIntervalConstants(
         log_x0=log_x0, kappa=kappa,
-        ell0=ell0, ell1=ell1, ell2=ell2, ell3=ell3, ell4=ell4,
-        ell5=ell5, ell6=ell6, ell7=ell7,
-        k3=ell5 + ell7, k4=-ell6,
+        ell0=ell0, ell1=ell1, ell2=ell2, ell3=ell3, ell4=ell4, ell5=ell5, ell7=ell7,
     )
 
 
@@ -586,33 +583,35 @@ def twisted_psi_constants_small(log_x0: float, soz: SozConstants, soz_small: Soz
 class APConstants:
     """Admissible constants of the progression bounds at one x0.
 
-    a1..a6 = (Omega5, Omega6, Omega7, Omega4, Omega2, Omega3); the same
-    record shape serves the general and the small-moduli chain (flag).
+    Omega2, Omega3 and Omega5 are stored; Omega4 = Omega3 + 1.44270,
+    Omega6 = 1/(8 pi) + Omega4 Omega5 and Omega7 = (1 + Omega2)/log 2 are
+    computed from them.  a1..a6 = (Omega5, Omega6, Omega7, Omega4, Omega2,
+    Omega3); the same record shape serves the general and the small-moduli
+    chain (flag).
     """
 
     log_x0: float
     Omega2: float
     Omega3: float
-    Omega4: float
     Omega5: float
-    Omega6: float
-    Omega7: float
-    small_moduli: bool = False
+    small_moduli: bool
+
+    @property
+    def Omega4(self) -> float:
+        return self.Omega3 + 1.44270
+
+    @property
+    def Omega6(self) -> float:
+        return 1.0 / (8 * PI) + self.Omega4 * self.Omega5
+
+    @property
+    def Omega7(self) -> float:
+        return (1.0 + self.Omega2) / LOG2
 
     @property
     def a(self) -> tuple[float, float, float, float, float, float]:
         return (self.Omega5, self.Omega6, self.Omega7,
                 self.Omega4, self.Omega2, self.Omega3)
-
-    def __post_init__(self):
-        scale = max(1.0, abs(self.Omega3))
-        if abs(self.Omega4 - self.Omega3 - 1.44270) > 1e-12 * scale:
-            raise ValidationError("Omega4 must equal Omega3 + 1.44270")
-        if abs(self.Omega6 - (1.0 / (8 * PI) + self.Omega4 * self.Omega5)) \
-                > 1e-12 * max(1.0, abs(self.Omega6)):
-            raise ValidationError("Omega6 must equal 1/(8 pi) + Omega4*Omega5")
-        if abs(self.Omega7 - (1.0 + self.Omega2) / LOG2) > 1e-12 * max(1.0, abs(self.Omega7)):
-            raise ValidationError("Omega7 must equal (1 + Omega2)/log 2")
 
 
 def ap_constants(log_x0: float, tp: TwistedPsiConstants,
@@ -629,15 +628,11 @@ def ap_constants(log_x0: float, tp: TwistedPsiConstants,
         raise ValidationError("tp must be computed at the same log x0")
     sx = math.exp(0.5 * log_x0)
     o1 = max(tp.Omega1, 0.0) if clamp_omega1 else tp.Omega1
-    Omega3 = tp.Omega0 + o1 / log_x0 + 0.56 * log_x0 / sx
-    Omega4 = Omega3 + 1.44270
-    Omega5 = 1.0 + (exp_integral_ei(log_x0 / 2.0) - exp_integral_ei(LOG2 / 2.0)) / sx
-    Omega6 = 1.0 / (8 * PI) + Omega4 * Omega5
-    Omega7 = (1.0 + tp.Omega2) / LOG2
     return APConstants(
         log_x0=log_x0,
-        Omega2=tp.Omega2, Omega3=Omega3, Omega4=Omega4,
-        Omega5=Omega5, Omega6=Omega6, Omega7=Omega7,
+        Omega2=tp.Omega2,
+        Omega3=tp.Omega0 + o1 / log_x0 + 0.56 * log_x0 / sx,
+        Omega5=1.0 + (exp_integral_ei(log_x0 / 2.0) - exp_integral_ei(LOG2 / 2.0)) / sx,
         small_moduli=tp.small_moduli,
     )
 
@@ -650,7 +645,7 @@ def ap_constants_small(log_x0: float, tp_small: TwistedPsiConstants) -> APConsta
     return ap_constants(log_x0, tp_small, clamp_omega1=True)
 
 
-def chain(log_x0: float, small: bool = False, self_consistent: bool = False):
+def chain(log_x0: float, small: bool, self_consistent: bool = False):
     """One row of the chain at log x0: the (soz, si, tp, ap) records.
 
     small selects the small-moduli chain (q <= 10^4, x0 >= 1.05e7) and

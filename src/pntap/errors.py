@@ -16,14 +16,16 @@ class ValidationError(PntapError, ValueError):
 class ParseError(PntapError, ValueError):
     """A data file could not be parsed.
 
-    Carries the 1-based line number of the offending line when known.
+    Carries the 1-based line number of the offending line.  args holds
+    (message, line_number), so a pickled error rebuilds unchanged.
     """
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number):
+        super().__init__(message, line_number)
         self.line_number = line_number
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+
+    def __str__(self):
+        return f"line {self.line_number}: {self.args[0]}"
 
 
 class CoverageError(PntapError, ValueError):

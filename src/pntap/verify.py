@@ -42,7 +42,7 @@ class BoundSample:
     lhs: float
     rhs: float
     margin: float
-    what: str = ""
+    what: str
     skipped: bool = False
 
 
@@ -51,10 +51,10 @@ class BoundReport:
     """Outcome of one verification suite."""
 
     check_name: str
-    samples: list[BoundSample] = field(default_factory=list)
-    violations: int = 0
-    skipped: int = 0
-    runtime: float = 0.0
+    samples: list[BoundSample] = field(init=False, default_factory=list)
+    violations: int = field(init=False, default=0)
+    skipped: int = field(init=False, default=0)
+    runtime: float = field(init=False, default=0.0)
 
     @property
     def passed(self) -> bool:
@@ -160,9 +160,10 @@ def verify_zero_count(zeros: ZeroTable) -> BoundReport:
 
 
 def verify_psi1_explicit(zeros: ZeroTable, xs: Sequence[float],
-                         t_trunc: Optional[float] = None) -> BoundReport:
+                         t_trunc: Optional[float]) -> BoundReport:
     """Check the residual of the weighted prime-power sum against its
-    explicit formula, truncated at height t_trunc.
+    explicit formula, truncated at height t_trunc (None: at min(1e4, the
+    table's height)).
 
     residual(x) = psi1(x) - x^2/2 + (truncated zero sum) + x log 2pi must
     lie in (1.545 - tau, 2.069 + tau) with tau twice the tail bound times

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -62,6 +62,8 @@ class ZeroTable:
         ords = np.asarray(self.ordinates, dtype=np.float64)
         if ords.ndim != 1:
             raise ValidationError("ordinates must be a flat sequence")
+        if not (np.all(np.isfinite(ords)) and math.isfinite(self.max_height)):
+            raise ValidationError("ordinates and max_height must be finite")
         if ords.size and ords[0] <= 0.0:
             raise ValidationError("ordinates must be positive")
         if ords.size > 1 and not np.all(np.diff(ords) > 0.0):

@@ -96,20 +96,19 @@ def weight_quarter_sqrt() -> WeightSpec:
 
 @dataclass(frozen=True)
 class SumEstimate:
-    """Decomposed estimate: main term, boundary budget, and total error bound.
+    """Decomposed estimate: main term and total error bound.
 
-    boundary_terms bounds |phi(V)Q(V) - phi(U)Q(U)| through the counting
-    remainder; error_bound additionally includes the second-order term, so
+    error_bound adds the second-order term to the boundary budget, which
+    bounds |phi(V)Q(V) - phi(U)Q(U)| through the counting remainder, so
     the certified statement is |exact - main_term| <= error_bound.
     """
 
     main_term: float
-    boundary_terms: float
     error_bound: float
 
     def __post_init__(self):
-        if self.error_bound < 0 or self.boundary_terms < 0:
-            raise ValidationError("error budgets must be nonnegative")
+        if self.error_bound < 0:
+            raise ValidationError("the error bound must be nonnegative")
 
 
 def count_remainder_R(T: float) -> float:
@@ -143,8 +142,7 @@ def bpt_sum(phi: WeightSpec, U: float, V: float) -> SumEstimate:
     main = (phi.logt(V) - phi.logt(U)) / TWO_PI
     boundary = phi(V) * count_remainder_R(V) + phi(U) * count_remainder_R(U)
     second_order = 2.0 * (A0 + A1 * math.log(U)) * abs(phi.derivative(U)) + (A1 + A2) * phi(U) / U
-    return SumEstimate(main_term=main, boundary_terms=boundary,
-                       error_bound=second_order + boundary)
+    return SumEstimate(main_term=main, error_bound=second_order + boundary)
 
 
 def dirichlet_count_bound(q: int, T: float) -> tuple[float, float]:

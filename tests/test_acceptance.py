@@ -79,7 +79,7 @@ def test_criterion_3_optimizer_quality():
 def test_criterion_4_downstream_tables_and_identities():
     bad = []
     for lx0, row in ref.TWISTED_TABLE.items():
-        _, si, tp, ap = C.chain(lx0)
+        _, si, tp, ap = C.chain(lx0, False)
         got = (tp.k5, tp.k6, tp.Omega0, tp.Omega1, tp.Omega2)
         bad += [(lx0, "twisted", i, g, w) for i, (g, w) in enumerate(zip(got, row))
                 if not ref.close(g, w)]
@@ -96,7 +96,7 @@ def test_criterion_4_downstream_tables_and_identities():
         if not ok:
             bad.append((lx0, "identity"))
     for lx0, row in ref.AP_TABLE.items():
-        _, si, tp, ap = C.chain(lx0)
+        _, si, tp, ap = C.chain(lx0, False)
         bad += [(lx0, "ap", i, g, w) for i, (g, w) in enumerate(zip(ap.a, row))
                 if not ref.close(g, w)]
         omega_row = ref.OMEGA_TABLE[lx0]
@@ -110,7 +110,7 @@ def test_criterion_4_downstream_tables_and_identities():
         if abs(tp.Omega2 + si.k4) > 1e-12 * max(1.0, abs(si.k4)):
             bad.append((lx0, "identity Omega2~=-k4"))
     # spot anchors
-    _, _, tp10, ap10 = C.chain(10.0)
+    _, _, tp10, ap10 = C.chain(10.0, False)
     if not ref.close(ap10.a[0], 1.27146):
         bad.append(("anchor", "a1(e10)"))
     if not ref.close(tp10.Omega1, 0.78834):
@@ -213,7 +213,7 @@ def test_criterion_7_exact_arithmetic():
 
 def test_criterion_8_empirical_theorem_checks():
     t0 = time.time()
-    _, si10, _, ap10 = C.chain(10.0)
+    _, si10, _, ap10 = C.chain(10.0, False)
     x0 = math.exp(10.0)
     xs_si = [x0 * (1e9 / x0) ** (i / 5) for i in range(6)]
     si_report = verify_short_interval(si10, xs_si)
@@ -260,7 +260,7 @@ def test_criterion_8_empirical_theorem_checks():
 
 
 def test_criterion_9_gm_baseline():
-    _, _, _, ap = C.chain(500.0)
+    _, _, _, ap = C.chain(500.0, False)
     x = math.exp(500.0)
     report = compare_gm_baseline(ap, 3, [x])
     margin = report.samples[0].margin

@@ -9,9 +9,12 @@ so re-exporting a name from pntap/__init__.py gives it no caller.
 
 Every defaulted parameter of src/pntap is named in DEFAULTS with the
 reason it has a default, so a new default, like a new option, needs one.
+The field defaults of a @dataclass body count as defaulted parameters of
+its Class.__init__, in field order (a field(init=False) is no parameter).
 A reason names callers, and the calls of those same files show them: some
-call passes the parameter, by keyword or by position, and some call takes
-its default.  Otherwise only tests set the option or take the default.
+call passes the parameter, by keyword, by position or as a replace(...)
+keyword, and some call takes its default.  Otherwise only tests set the
+option or take the default.
 """
 import ast
 from pathlib import Path
@@ -39,22 +42,30 @@ DEFAULTS = {
         "ROADMAP item 5 sets omega from the Dirichlet zeros it builds",
     ("constants", "ap_constants", "clamp_omega1"):
         "the small-moduli chain clamps Omega1; ROADMAP item 1 settles the general chain's fold",
-    ("constants", "chain", "small"): "--small sets it",
     ("constants", "chain", "self_consistent"): "--self-consistent sets it",
     ("constants", "evaluate_bounds", "consts"): "the principal kind needs no constants",
-    ("errors", "ParseError.__init__", "line_number"):
-        "unpickling rebuilds a ParseError from its message alone",
     ("quadrature", "integrate", "tol"):
         "tests set it to reach the tolerance and the ConvergenceError paths",
     ("quadrature", "integrate", "max_intervals"):
         "a test sets it to run out of intervals",
     ("verify", "BoundReport.add", "skip_nonpositive_rhs"):
         "the suites whose right-hand side can be non-positive set it",
-    ("verify", "verify_psi1_explicit", "t_trunc"):
-        "--t-trunc sets it; without it the suite truncates at min(1e4, the table's height)",
     ("zeros", "load_zero_table", "kind"):
         "the CLI's Dirichlet suites set it; the tests load zeta tables with the default",
     ("zeros", "load_zero_table", "label"): "the CLI sets it to pick one character's zeros",
+    # dataclass fields
+    ("constants", "SozConstants.__init__", "small_moduli"):
+        "soz_constants_small replaces it; the general record takes the default",
+    ("constants", "TwistedPsiConstants.__init__", "small_moduli"):
+        "twisted_psi_constants_small replaces it; the general record takes the default",
+    ("constants", "TwistedPsiConstants.__init__", "sigma6"):
+        "twisted_psi_constants_small replaces it; the general record has none",
+    ("constants", "TwistedPsiConstants.__init__", "sigma7"):
+        "twisted_psi_constants_small replaces it; the general record has none",
+    ("verify", "BoundSample.__init__", "skipped"):
+        "BoundReport.add sets it for a non-positive right-hand side; the other samples take it",
+    ("zeros", "ZeroTable.__init__", "label"):
+        "the loader passes a Dirichlet table's label; the zeta zero generator has none",
 }
 
 # DEFAULTS entries that no call of program code passes, or that every such
@@ -64,12 +75,9 @@ TESTS_ONLY = {
         "never passed: ROADMAP item 5 sets omega from the Dirichlet zeros it builds",
     ("quadrature", "integrate", "tol"): "never called: the tests' reference integrator",
     ("quadrature", "integrate", "max_intervals"): "never called: the tests' reference integrator",
-    ("constants", "chain", "small"): "always passed: every CLI call passes --small",
-    ("errors", "ParseError.__init__", "line_number"):
-        "always passed: unpickling, which no call shows, takes the default",
-    ("verify", "verify_psi1_explicit", "t_trunc"):
-        "always passed: the CLI passes --t-trunc, None when it is not given",
-    ("zeros", "load_zero_table", "kind"): "always passed: every caller names the kind",
+    ("zeros", "load_zero_table", "kind"):
+        "always passed: perfbench/test_checks.py takes the default, and it changes "
+        "only with the benchmark",
 }
 
 
@@ -123,11 +131,37 @@ def _definitions_and_references():
     return defined, refs
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) for each __init__ field of a @dataclass body,
+    in field order."""
+    out = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            out.append((stmt.target.id, "default" in keywords or "default_factory" in keywords))
+        else:
+            out.append((stmt.target.id, value is not None))
+    return out
+
+
 def _defaulted_parameters():
     """{(module, function, parameter): (required, position)} for every
     defaulted parameter of src/pntap: the number of parameters a call must
     pass by position or keyword, and the parameter's position in a call
-    (None if keyword-only); a method's self is not counted."""
+    (None if keyword-only); a method's self is not counted.  A dataclass
+    field with a default is a parameter of its Class.__init__."""
     out = {}
 
     def visit(node, module, prefix, in_class):
@@ -143,6 +177,12 @@ def _defaulted_parameters():
                         out[module, prefix + sub.name, a.arg] = (required, None)
                 visit(sub, module, prefix + sub.name + ".", False)
             elif isinstance(sub, ast.ClassDef):
+                if _is_dataclass(sub):
+                    fields = _init_fields(sub)
+                    required = sum(not has_default for _, has_default in fields)
+                    for i, (name, has_default) in enumerate(fields):
+                        if has_default:
+                            out[module, prefix + sub.name + ".__init__", name] = (required, i)
                 visit(sub, module, prefix + sub.name + ".", True)
             else:
                 visit(sub, module, prefix, in_class)
@@ -159,7 +199,8 @@ def _passes_and_takes():
     A call counts for a function when it names it (a constructor call names
     the class of an __init__) and passes at least the required arguments,
     so set.add(x) and the kernel's own four-argument add do not count for
-    BoundReport.add."""
+    BoundReport.add.  A replace(...) keyword passes the field of that name
+    of every class; the record it copies is not known from the syntax."""
     calls = []
     for path in [*sorted(SRC.glob("*.py")), *_caller_files()]:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -172,6 +213,8 @@ def _passes_and_takes():
         parts = function.split(".")
         name = parts[-2] if parts[-1] == "__init__" else parts[-1]
         for called, n_args, keywords in calls:
+            if called == "replace" and parts[-1] == "__init__" and param in keywords:
+                passed.add((module, function, param))
             if called != name or n_args + len(keywords) < required:
                 continue
             if param in keywords or (position is not None and n_args > position):

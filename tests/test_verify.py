@@ -22,7 +22,7 @@ def si10():
 
 @pytest.fixture(scope="module")
 def ap10():
-    *_, ap = C.chain(10.0)
+    *_, ap = C.chain(10.0, False)
     return ap
 
 
@@ -34,7 +34,7 @@ class TestTwistedBoundsEmpirical:
                 + np.exp(np.random.default_rng(2021).uniform(14.0, math.log(1e8), 6)).tolist())
 
     def test_every_character_within_bounds(self):
-        _, _, tp, _ = C.chain(10.0)
+        _, _, tp, _ = C.chain(10.0, False)
         counts = ResidueCounter(range(3, 31)).counts_at_multi(self.XS)
         checked = 0
         for q, snaps in counts.items():
@@ -101,7 +101,7 @@ class TestZeroCountSuite:
 
 class TestPsi1Suite:
     def test_residual_in_window(self, zeta_table):
-        report = verify_psi1_explicit(zeta_table, [500.0, 1000.0])
+        report = verify_psi1_explicit(zeta_table, [500.0, 1000.0], t_trunc=None)
         assert report.passed
         for s in report.samples:
             assert "residual" in s.what
@@ -119,7 +119,7 @@ class TestPsi1Suite:
     def test_short_table_is_coverage_error(self, ordinates):
         # without t_trunc the table's height was once taken as the cut
         with pytest.raises(CoverageError, match="below GAMMA_1 = 14.13472"):
-            verify_psi1_explicit(_zeta(*ordinates), [500.0])
+            verify_psi1_explicit(_zeta(*ordinates), [500.0], t_trunc=None)
 
     @pytest.mark.parametrize("t_trunc", [0.0, 3.0, 14.0, float("nan")])
     def test_cut_below_first_zero_is_domain_error(self, zeta_table, t_trunc):
@@ -160,7 +160,7 @@ class TestApBoundsSuite:
 
 def test_no_points_is_domain_error(zeta_table, si10, ap10):
     # a suite over no x would pass on no sample
-    for call in (lambda: verify_psi1_explicit(zeta_table, []),
+    for call in (lambda: verify_psi1_explicit(zeta_table, [], t_trunc=None),
                  lambda: verify_short_interval(si10, []),
                  lambda: verify_ap_bounds(ap10, 3, 1, []),
                  lambda: compare_gm_baseline(ap10, 3, [])):
@@ -207,7 +207,7 @@ class TestGmComparison:
         assert len(report.samples) == 2
 
     def test_log500_row_improves(self):
-        *_, ap = C.chain(500.0)
+        *_, ap = C.chain(500.0, False)
         x = math.exp(500.0)
         report = compare_gm_baseline(ap, 3, [x])
         assert report.samples[0].margin > 0.0  # ours strictly below baseline
@@ -230,3 +230,9 @@ class TestReportSerialization:
         r.add(10.0, 3, 1, 3.0, 2.0, what="psi")
         assert not r.passed
         assert r.violations == 1
+
+    def test_counts_come_only_from_samples(self):
+        # the counts are kept by add(); a report given a count and no sample would read FAIL
+        for counts in ({"violations": 5}, {"skipped": 1}, {"samples": []}, {"runtime": 1.0}):
+            with pytest.raises(TypeError):
+                BoundReport("demo", **counts)

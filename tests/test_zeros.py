@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -133,6 +134,15 @@ class TestOneReader:
         if exc is ParseError:
             assert info.value.line_number == line
         assert type(info.value) is exc
+
+    def test_parse_error_pickles(self, tmp_path):
+        # args hold (message, line_number), so unpickling needs no default
+        with pytest.raises(ParseError) as info:
+            load_zero_table(write(tmp_path, "14.1\n\nabc\n"), kind="zeta")
+        back = pickle.loads(pickle.dumps(info.value))
+        assert type(back) is ParseError
+        assert str(back) == str(info.value) == "line 3: not a decimal ordinate: 'abc'"
+        assert back.line_number == 3
 
     @pytest.mark.parametrize("kind,text", [
         ("zeta", "# only a comment\n\n"),
@@ -272,3 +282,8 @@ class TestValidation:
             ZeroTable(kind="zeta", ordinates=np.array([-1.0]), max_height=1.0)
         with pytest.raises(ValidationError):
             ZeroTable(kind="nope", ordinates=np.array([1.0]), max_height=1.0)
+        # the loader rejects inf and nan line by line; so does the constructor
+        for ordinates, height in [([14.1, np.inf], np.inf), ([], math.nan),
+                                  ([math.nan], 1.0), ([14.1], np.inf)]:
+            with pytest.raises(ValidationError, match="finite"):
+                ZeroTable("zeta", np.array(ordinates), height)

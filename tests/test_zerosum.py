@@ -145,9 +145,7 @@ class TestTail:
 class TestSumEstimateInvariants:
     def test_nonnegative_budgets(self):
         with pytest.raises(ValidationError):
-            SumEstimate(main_term=1.0, boundary_terms=-0.1, error_bound=1.0)
-        with pytest.raises(ValidationError):
-            SumEstimate(main_term=1.0, boundary_terms=0.1, error_bound=-1.0)
+            SumEstimate(main_term=1.0, error_bound=-1.0)
 
 
 WEIGHTS = (weight_inverse(), weight_inverse_square(), weight_quarter_sqrt())
