@@ -13,7 +13,10 @@ workloads are taken in turn, so slow drifts of the machine fall on both
 sides alike.  Each run reports its median over its rounds; the output
 gives, per workload and end-to-end metric, the median and quartiles of
 the runs on each side, the median of the paired differences (change -
-parent) and the number of pairs in which the change is lower.  Each
+parent) and their interquartile range over the parent's median (beside
+the parent's own interquartile range over its median: a drift that moves
+both sides of a pair alike widens the latter, not the former), and the
+number of pairs in which the change is lower.  Each
 metric also gets the bound that the end_to_end list of the change's
 BENCHMARK.json gives it, and a verdict, the first that holds of:
 
@@ -114,15 +117,17 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
 
 def compare(parent: list[float], change: list[float], bound: float, better: str) -> dict:
     p, c = spread(parent), spread(change)
+    d1, dm, d3 = statistics.quantiles([b - a for a, b in zip(parent, change)], n=4,
+                                      method="inclusive")
     return {
         "verdict": verdict(parent, change, bound, better),
         "bound": bound,
-        "paired_difference_median": round(statistics.median(
-            b - a for a, b in zip(parent, change)), 4),
+        "paired_difference_median": round(dm, 4),
         "parent": p,
         "change": c,
         "change_vs_parent": round(c["median"] / p["median"] - 1.0, 4),
         "parent_iqr_over_median": round((p["q3"] - p["q1"]) / p["median"], 4),
+        "paired_difference_iqr_over_parent_median": round((d3 - d1) / p["median"], 4),
         "change_lower_in_pairs": sum(b < a for a, b in zip(parent, change)),
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],

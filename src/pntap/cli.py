@@ -6,7 +6,7 @@ constants  render the constants tables (soz, short-interval, twisted, ap, all)
 verify     run a verification suite; exit 0 only with zero violations
            (verify gm: pi-bound vs the cyclotomic baseline)
 count      exact pi/theta/psi at (x; q, a)
-bound      evaluate one bound's right-hand side
+bound      evaluate one bound's right-hand side (exit 2 unless finite and positive)
 
 Exit codes: 0 success, 1 verification violations, 2 usage or domain errors.
 """
@@ -232,6 +232,9 @@ def cmd_bound(args) -> int:
         rhs = C.evaluate_bounds(args.kind, args.x, args.q, consts)
         src = "reference kappa row" if lx in C.REFERENCE_KAPPA else "optimized kappa"
         provenance = f"chain at log_x0={lx} ({src}, {'small' if args.small else 'general'} moduli)"
+    if not (math.isfinite(rhs) and rhs > 0):
+        raise DomainError(f"{args.kind} bound at x={args.x!r}, q={args.q}, log x0={lx!r} has "
+                          f"rhs={rhs!r}: not a finite positive bound")
     print(json.dumps({"kind": args.kind, "x": args.x, "q": args.q,
                       "log_x0": lx, "rhs": rhs, "provenance": provenance}))
     return 0

@@ -30,13 +30,17 @@ to this quadrature, not as independently certified bounds.  The
 short-interval integral in k4 takes the closed form
 ``weight_quarter_sqrt().logt`` instead.
 
-The chain asks for the same integrals many times (every table section
-rebuilds it, and the small-moduli chain shares its sigma6 anchor across
-rows), so ``_reference_quad`` is memoised per interval ``(a, b)`` and
-``optimize_kappa`` per ``log_x0``, each keeping up to 1024 results within
-a process.  The 15-digit pin sits inside the memoised function, so a
-cached value is the value a fresh evaluation gives, whatever the global
-mpmath precision.
+The default grid (``LOG_X0_GRID``) asks for 29 intervals, whose values
+``_GRID_QUAD`` holds as float literals: the bits the quadrature gives
+them under mpmath 1.3, which the tests derive afresh.  Every other
+interval is integrated live by ``_live_quad``, so the chain imports
+mpmath only for off-grid rows.  The chain asks for the same integrals
+many times (every table section rebuilds it, and the small-moduli chain
+shares its sigma6 anchor across rows), so ``_live_quad`` is memoised per
+interval ``(a, b)`` and ``optimize_kappa`` per ``log_x0``, each keeping
+up to 1024 results within a process.  The 15-digit pin sits inside the
+memoised function, so a cached value is the value a fresh evaluation
+gives, whatever the global mpmath precision.
 """
 from __future__ import annotations
 
@@ -83,9 +87,9 @@ REFERENCE_KAPPA = {
 # default log-x0 grid of the table commands: the reference rows and log(1.05e7)
 LOG_X0_GRID = tuple(sorted({*REFERENCE_KAPPA, SMALL_LOG_X0_MIN}))
 
-# `constants --which all` on the default grid integrates over 29 distinct
-# intervals [lower, eta]; the bound leaves room for off-grid rows and caps
-# the memory of long-lived callers
+# the quadrature memo holds off-grid intervals only (the default grid's are
+# frozen in _GRID_QUAD); the bound leaves room for many off-grid rows and
+# caps the memory of long-lived callers
 _CACHE_SIZE = 1024
 
 
@@ -98,14 +102,94 @@ def _require_log_x0(log_x0: float) -> None:
         raise DomainError(f"requires log x0 >= 10, got {log_x0}")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# (plain, logt, over_t) over [lower, eta] for each interval the default grid
+# asks for: lower = 5/7 on every row of LOG_X0_GRID and lower = 200 from
+# log(1.05e7) up, with eta = splitting_height(log x0) bit for bit (where exp
+# rounds eta otherwise, the key misses and the interval is integrated live).
+# The values are _live_quad's bits under mpmath 1.3; from log x0 = 150 on
+# both lowers give the same saturated values.
+_GRID_QUAD = {
+    (0.7142857142857143, 14.84131591025766):  # log x0 = 10
+        (2.9295155027551676, -1.8230028743941986, 1.2379664015982987),
+    (0.7142857142857143, 200.43256235358803):  # log x0 = log(1.05e7)
+        (5.53229636544778, 3.8020170747573645, 1.3003439280599245),
+    (0.7142857142857143, 1101.323289740336):  # log x0 = 20
+        (7.236084744857668, 11.153005359592754, 1.3044251336006538),
+    (0.7142857142857143, 108967.24574907035):  # log x0 = 30
+        (11.830619585225921, 45.44504265675257, 1.3053239550950844),
+    (0.7142857142857143, 12129129.885244757):  # log x0 = 40
+        (16.542937512767917, 102.54459724966298, 1.3053330497172106),
+    (0.7142857142857143, 1440097986.7477176):  # log x0 = 50
+        (21.319793961339503, 183.09038246392473, 1.305333131309078),
+    (0.7142857142857143, 178107909692.07437):  # log x0 = 60
+        (26.137472390420818, 287.436186739175, 1.3053331122218312),
+    (0.7142857142857143, 22657335033049.01):  # log x0 = 70
+        (30.983319915706364, 415.80614591758837, 1.305330599643057),
+    (0.7142857142857143, 2942315835462750.0):  # log x0 = 80
+        (35.84955505918307, 568.3551733512995, 1.3050037917298367),
+    (0.7142857142857143, 3.8815856730538995e+17):  # log x0 = 90
+        (40.70134431702083, 745.260563332835, 1.2631692034522826),
+    (0.7142857142857143, 5.184705528587072e+19):  # log x0 = 100
+        (43.91363818177519, 948.5527077198924, 0.22445402883132712),
+    (0.7142857142857143, 2.488827997866001e+30):  # log x0 = 150
+        (44.090638590445444, 2032.8701669885252, 5.543330984458113e-12),
+    (0.7142857142857143, 1.3440585709080679e+41):  # log x0 = 200
+        (44.090529805128874, 3122.446646702183, 2.787475676247103e-23),
+    (0.7142857142857143, 7.74230416814289e+51):  # log x0 = 250
+        (44.090667134886104, 4214.881561221076, 4.839005315197249e-34),
+    (0.7142857142857143, 7.492909229005347e+105):  # log x0 = 500
+        (44.09056749811047, 9695.633964939769, 5.0001151430041424e-88),
+    (200.0, 200.43256235358803):  # log x0 = log(1.05e7)
+        (0.002160469520583777, 0.00747850961780677, 1.0790686894205256e-05),
+    (200.0, 1101.323289740336):  # log x0 = 20
+        (1.705948848930471, 7.3584667944531965, 0.004091996227623692),
+    (200.0, 108967.24574907035):  # log x0 = 30
+        (6.3004836892987335, 41.65050409161299, 0.004990817722066292),
+    (200.0, 12129129.885244757):  # log x0 = 40
+        (11.012801616841683, 98.75005868452129, 0.004999912345536389),
+    (200.0, 1440097986.7477176):  # log x0 = 50
+        (15.789658065526977, 179.295843898533, 0.004999994097281613),
+    (200.0, 178107909692.07437):  # log x0 = 60
+        (20.60733650867146, 283.64164814285687, 0.004999994785756409),
+    (200.0, 22657335033049.01):  # log x0 = 70
+        (25.453185821011193, 412.01160339162493, 0.004999994752161787),
+    (200.0, 2942315835462750.0):  # log x0 = 80
+        (30.319653410935405, 564.5601197102615, 0.004999989665164298),
+    (200.0, 3.8815856730538995e+17):  # log x0 = 90
+        (35.20173619026974, 741.3994358112169, 0.004999318778999792),
+    (200.0, 5.184705528587072e+19):  # log x0 = 100
+        (40.078597742274304, 942.5545946434349, 0.004911199883933225),
+    (200.0, 2.488827997866001e+30):  # log x0 = 150
+        (44.090638590445444, 2032.8701669885252, 5.543330984458113e-12),
+    (200.0, 1.3440585709080679e+41):  # log x0 = 200
+        (44.090529805128874, 3122.446646702183, 2.787475676247103e-23),
+    (200.0, 7.74230416814289e+51):  # log x0 = 250
+        (44.090667134886104, 4214.881561221076, 4.839005315197249e-34),
+    (200.0, 7.492909229005347e+105):  # log x0 = 500
+        (44.09056749811047, 9695.633964939769, 5.0001151430041424e-88),
+}
+
+
 def _reference_quad(a: float, b: float) -> tuple[float, float, float]:
     """Tanh-sinh quadrature at 15 digits; the table-compatibility scheme.
 
     Returns the integrals over [a, b] (0 < a < b) of the three integrands
     of the zero-sum chain, with w(t) = (1/4+t^2)^(-1/2):
-    (plain, logt, over_t) = (w(t), log(t/2pi) w(t), w(t)/t).
-    Each is bit for bit ``float(mp.quad(f, [a, b]))`` under
+    (plain, logt, over_t) = (w(t), log(t/2pi) w(t), w(t)/t).  The default
+    grid's intervals come from ``_GRID_QUAD``, keyed by the exact floats
+    ``_zero_sum`` passes, so a platform whose exp rounds eta differently
+    misses the table and integrates live; every other interval is
+    integrated by ``_live_quad``.
+    """
+    frozen = _GRID_QUAD.get((a, b))
+    return frozen if frozen is not None else _live_quad(a, b)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _live_quad(a: float, b: float) -> tuple[float, float, float]:
+    """``_reference_quad``'s integrals over [a, b], by replaying mp.quad.
+
+    Each value is bit for bit ``float(mp.quad(f, [a, b]))`` under
     ``mp.workdps(15)``, by the same steps (Borwein, Bailey and Girgensohn,
     *Experimentation in Mathematics*, 2003, pp. 312-313):
 
@@ -265,8 +349,8 @@ def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConst
         raise DomainError(
             f"requires log x0 >= log(1.05e7) = {SMALL_LOG_X0_MIN:.6f}, got {log_x0}"
         )
-    if omega <= 0:
-        raise DomainError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0):
+        raise DomainError(f"omega must be finite and positive, got {omega}")
     _require_log_x0(log_x0)
     tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, omega)
     return replace(tilde, small_moduli=True)

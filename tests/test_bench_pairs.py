@@ -68,6 +68,18 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert bench_pairs.compare(parent, [0.4] * 10, 0.25, "lower")["verdict"] == "no_regression"
 
 
+def test_paired_spread_is_reported_beside_the_parent_spread():
+    # the machine drifts by 0.5 s across the runs; each pair sits on one level
+    parent = [1.0, 1.5] * 5
+    change = [v - 0.1 + 0.01 * (i % 2) for i, v in enumerate(parent)]
+    out = bench_pairs.compare(parent, change, 0.25, "lower")
+    assert out["parent_iqr_over_median"] == 0.4
+    assert out["paired_difference_median"] == pytest.approx(-0.095)
+    assert out["paired_difference_iqr_over_parent_median"] == 0.008
+    # the verdict still weighs the parent's spread
+    assert out["verdict"] == "unresolved"
+
+
 def test_main_reads_bounds_from_the_change_checkout(monkeypatch, tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()

@@ -92,12 +92,25 @@ class TestCountAndBound:
         assert "gcd" in err
 
     def test_bound(self, capsys):
-        code, out, _ = run(capsys, "bound", "--kind", "pi_ap", "--x", "1e9",
+        code, out, _ = run(capsys, "bound", "--kind", "pi_ap", "--x", "1e12",
                            "--q", "3", "--log-x0", "20")
         assert code == 0
         blob = json.loads(out)
         assert blob["rhs"] == blob["rhs"]  # finite
         assert "provenance" in blob
+
+    @pytest.mark.parametrize("q, extra, log_x0, rhs", [
+        ("3", [], "20", "-4293729.29"),
+        ("5", ["--small"], "16.166886", "-823903.28"),
+    ], ids=["general", "small"])
+    def test_bound_refuses_a_negative_rhs(self, capsys, q, extra, log_x0, rhs):
+        code, out, err = run(capsys, "bound", "--kind", "pi_ap", "--x", "1e9", "--q", q,
+                             *extra, "--log-x0", log_x0)
+        assert code == 2
+        assert out == ""
+        for part in ("pi_ap", "x=1000000000.0", f"q={q}", f"log x0={float(log_x0)!r}",
+                     f"rhs={rhs}"):
+            assert part in err
 
     def test_bound_principal(self, capsys):
         code, out, _ = run(capsys, "bound", "--kind", "principal", "--x", "100",

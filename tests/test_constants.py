@@ -49,6 +49,11 @@ class TestSoz:
         with pytest.raises(DomainError):
             C.soz_constants_small(16.0)
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+    def test_omega_must_be_finite_and_positive(self, omega):
+        with pytest.raises(DomainError, match="omega"):
+            C.soz_constants_small(20.0, omega)
+
     def test_f_caps_on_grid(self):
         for lx in np.linspace(10.0, 500.0, 100):
             s = C.soz_constants(float(lx))
@@ -457,7 +462,8 @@ class TestReferenceQuad:
     OFF_GRID = (18.3, 37.5, 85.0, 120.0, 300.0, C.LOG_X0_MAX)
 
     def test_same_bits_as_mp_quad(self, monkeypatch, capsys):
-        C._reference_quad.cache_clear()
+        # the default grid's keys read _GRID_QUAD, the off-grid rows _live_quad
+        C._live_quad.cache_clear()
         keys = set(record_quad_keys(monkeypatch, [], ["--small"], ["--small", "--self-consistent"],
                                     rows=self.OFF_GRID))
         capsys.readouterr()
@@ -466,12 +472,43 @@ class TestReferenceQuad:
             got = C._reference_quad(*key)
             assert [v.hex() for v in got] == [v.hex() for v in quad_oracle(*key)], key
 
+    def test_frozen_table_holds_the_default_grid(self, monkeypatch, capsys):
+        asked = set(record_quad_keys(monkeypatch, [], ["--small"], ["--small", "--self-consistent"]))
+        capsys.readouterr()
+        grid = {(5.0 / 7.0, C.splitting_height(lx)) for lx in C.LOG_X0_GRID} \
+            | {(200.0, C.splitting_height(lx)) for lx in C.LOG_X0_GRID if lx >= C.SMALL_LOG_X0_MIN}
+        assert asked == grid
+        missing = sorted(grid - set(C._GRID_QUAD))
+        assert not missing, "_GRID_QUAD lacks\n" + "\n".join(
+            f"    ({a!r}, {b!r}):\n        {C._live_quad(a, b)!r}," for a, b in missing)
+        assert len(C._GRID_QUAD) == len(grid) == 29, sorted(set(C._GRID_QUAD) - grid)
+
+    def test_frozen_table_is_the_live_replay(self):
+        for key, frozen in C._GRID_QUAD.items():
+            live = C._live_quad.__wrapped__(*key)
+            assert [v.hex() for v in frozen] == [v.hex() for v in live], key
+
+    def test_default_grid_imports_no_mpmath(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argvs = [["constants", "--which", "all"], ["constants", "--which", "all", "--small"],
+                 ["constants", "--which", "all", "--small", "--self-consistent"],
+                 ["bound", "--kind", "psi_ap", "--x", "1e12", "--q", "3"]]
+        code = ("import sys; from pntap import cli; "
+                f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+                "print(codes, 'mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
     def test_mpmath_node_caches_do_not_grow(self, capsys):
         # mp.quad keeps the moved nodes of every interval it sees twice
         rule = mp.mp._tanh_sinh
         before = len(rule.transformed_cache), len(rule.interval_count)
-        C._reference_quad.cache_clear()
-        assert cli.main(["constants", "--which", "all", "--small"]) == 0
+        C._live_quad.cache_clear()
+        assert cli.main(["constants", "--which", "all", "--small",
+                         "--log-x0", "18.3", "--log-x0", "37.5"]) == 0
         capsys.readouterr()
         for lx in np.linspace(20.3, 700.3, 50):
             C.soz_constants_small(float(lx))
@@ -483,7 +520,7 @@ class TestReferenceQuad:
         code = ("import sys, pntap; "
                 "pntap.ap_counts(1e5, 7, 3); "
                 "print('mpmath' in sys.modules); "
-                "pntap.soz_constants(20.0); "
+                "pntap.soz_constants(20.5); "
                 "print('mpmath' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -495,23 +532,25 @@ class TestCaches:
     """The memoised leaves return exactly what a fresh evaluation returns."""
 
     def test_cached_quadrature_is_bit_identical(self, monkeypatch, capsys):
-        C._reference_quad.cache_clear()
-        keys = set(record_quad_keys(monkeypatch, [], ["--small"]))
+        C._live_quad.cache_clear()
+        off_grid = ["--log-x0", "18.3", "--log-x0", "37.5"]
+        keys = set(record_quad_keys(monkeypatch, off_grid, ["--small", "--self-consistent",
+                                                            *off_grid]))
         capsys.readouterr()
         assert {a for a, _ in keys} == {5.0 / 7.0, 200.0}
         for key in sorted(keys):
             cached = [v.hex() for v in C._reference_quad(*key)]
-            assert cached == [v.hex() for v in C._reference_quad.__wrapped__(*key)], key
+            assert cached == [v.hex() for v in C._live_quad.__wrapped__(*key)], key
 
     def test_cached_value_ignores_global_precision(self):
-        keys = [(5.0 / 7.0, C.splitting_height(80.0)),
-                (200.0, C.splitting_height(40.0)),
-                (5.0 / 7.0, C.splitting_height(500.0))]
+        keys = [(5.0 / 7.0, C.splitting_height(80.5)),
+                (200.0, C.splitting_height(40.5)),
+                (5.0 / 7.0, C.splitting_height(500.5))]
         prec = mp.mp.prec
-        C._reference_quad.cache_clear()
+        C._live_quad.cache_clear()
         default = [C._reference_quad(*key) for key in keys]
         assert mp.mp.prec == prec
-        C._reference_quad.cache_clear()
+        C._live_quad.cache_clear()
         with mp.workdps(30):
             assert mp.mp.dps == 30
             at_30 = [C._reference_quad(*key) for key in keys]
@@ -520,10 +559,12 @@ class TestCaches:
         assert [[v.hex() for v in vs] for vs in at_30] == [[v.hex() for v in vs] for vs in default]
 
     def test_one_miss_per_distinct_key(self, monkeypatch, capsys):
-        C._reference_quad.cache_clear()
-        keys = record_quad_keys(monkeypatch, ["--small"])
+        # --self-consistent: no sigma6 anchor from the grid's frozen row 500
+        C._live_quad.cache_clear()
+        keys = record_quad_keys(monkeypatch, ["--small", "--self-consistent",
+                                              "--log-x0", "18.3", "--log-x0", "37.5"])
         capsys.readouterr()
-        info = C._reference_quad.cache_info()
+        info = C._live_quad.cache_info()
         assert info.misses == len(set(keys))
         assert info.hits == len(keys) - len(set(keys)) > 0
 
