@@ -158,6 +158,14 @@ def _load_zeros(args, kind="zeta"):
         raise ValidationError(f"{exc} (without --q and --index the file must hold one group)")
 
 
+def _chain_log_x0(args) -> float:
+    """--log-x0, else the first row of the chosen chain: 10 for the general
+    chain, log(1.05e7) for --small."""
+    if args.log_x0 is not None:
+        return args.log_x0
+    return C.SMALL_LOG_X0_MIN if args.small else 10.0
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite == "bpt":
@@ -176,9 +184,7 @@ def cmd_verify(args) -> int:
     elif suite == "ap":
         q = 3 if args.q is None else args.q
         a = 1 if args.a is None else args.a
-        lx = args.log_x0
-        if lx is None:
-            lx = C.SMALL_LOG_X0_MIN if args.small else 10.0
+        lx = _chain_log_x0(args)
         *_, ap = C.chain(lx, args.small)
         xs = _sample_xs(args, max(math.exp(lx), float(q)))
         report = verify_ap_bounds(ap, q, a, xs)
@@ -186,7 +192,7 @@ def cmd_verify(args) -> int:
         report = verify_lehman(_load_zeros(args, kind="dirichlet"))
     elif suite == "gm":
         q = 3 if args.q is None else args.q
-        lx = 10.0 if args.log_x0 is None else args.log_x0
+        lx = _chain_log_x0(args)
         *_, ap = C.chain(lx, args.small)
         report = compare_gm_baseline(ap, q, _sample_xs(args, max(math.exp(lx), float(q))))
     else:
@@ -222,7 +228,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    lx = args.log_x0
+    lx = _chain_log_x0(args)
     if args.kind == "principal":
         rhs = C.evaluate_bounds("principal", args.x, args.q)
         provenance = "principal-character bound"
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--kind", choices=list(C.BOUND_KINDS), required=True)
     pb.add_argument("--x", type=float, required=True)
     pb.add_argument("--q", type=int, required=True)
-    pb.add_argument("--log-x0", type=float, default=10.0)
+    pb.add_argument("--log-x0", type=float)
     pb.add_argument("--small", action="store_true")
     pb.set_defaults(func=cmd_bound)
     return p

@@ -13,15 +13,22 @@ zeta:      plain text, one decimal ordinate per line, ascending; blank
 dirichlet: CSV with header ``q,index,gamma``; gamma > 0 ascending within
            each (q, index) group.
 
-One loop reads both: a zeta file is one group, a dirichlet row belongs to
-its (q, index), and each ordinate must be a finite positive real above the
-last of its group; every error names its 1-based file line.  A label then
-picks its group or fails; without one, the file's only group is used.
+One parse reads both: numpy's C tokenizer reads the whole file at once, a
+zeta file as one column and a dirichlet file (after its header) as
+(q, index, gamma) rows, and the rules are checked on the arrays: each
+ordinate a finite positive real, strictly ascending within its group.  A
+file that numpy's tokenizer refuses or that breaks a rule is read again
+line by line, and the first bad line raises, naming its 1-based file line.
+The line reader also takes what the format allows and the tokenizer does
+not: comment lines in a zeta file, a whitespace-only CSV line, quoted CSV
+fields and digit separators.  A label then picks its group or fails;
+without one, the file's only group is used.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -89,6 +96,70 @@ def load_zero_table(
     gives the rules and how a label selects a group."""
     if kind not in ("zeta", "dirichlet"):
         raise ValidationError(f"unknown table kind {kind!r}")
+    groups = _parse_whole(path, kind)
+    if groups is None:
+        groups = _parse_lines(path, kind)
+    present = ", ".join(str(k) for k in groups if k is not None) or "none"
+    if label is not None:
+        key = (label.q, label.index)
+        if key not in groups:
+            raise ValidationError(f"no zeros for group {key} in the file; groups present: {present}")
+    elif len(groups) > 1:
+        raise ValidationError(
+            f"file holds {len(groups)} character groups ({present}); a label must select one")
+    else:
+        key = next(iter(groups), None)
+        label = None if key is None else CharacterLabel(*key)
+    ords = np.asarray(groups.get(key, ()), dtype=np.float64)
+    return ZeroTable(kind, ords, float(ords[-1]) if ords.size else 0.0, label)
+
+
+_HEADER = ["q", "index", "gamma"]
+_CSV_ROW = np.dtype([("q", np.int64), ("index", np.int64), ("gamma", np.float64)])
+
+
+def _parse_whole(path, kind) -> Optional[dict[Optional[tuple[int, int]], np.ndarray]]:
+    """{group key: ordinates} from one numpy parse of the file; None when
+    the tokenizer refuses a line or an ordinate breaks a rule, so that the
+    line reader names the line."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            if kind == "zeta":
+                rows = np.loadtxt(fh, comments=None, ndmin=2)
+                if rows.shape[1] != 1:  # two or more numbers on a line
+                    return None
+                groups = {None: rows[:, 0]} if rows.size else {}
+            elif [h.strip().lower() for h in fh.readline().split(",")] != _HEADER:
+                return None
+            else:
+                groups = _split_groups(
+                    np.loadtxt(fh, delimiter=",", comments=None, dtype=_CSV_ROW, ndmin=1))
+        except ValueError:
+            return None
+    for gamma in groups.values():  # 0 < gamma < inf also rejects nan
+        if not (np.all(gamma > 0.0) and np.all(gamma < math.inf) and np.all(np.diff(gamma) > 0.0)):
+            return None
+    return groups
+
+
+def _split_groups(rows: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """{(q, index): its gammas in file order}, in the order the groups
+    first appear in the file."""
+    if rows.size == 0:
+        return {}
+    pairs, first, inverse = np.unique(np.stack([rows["q"], rows["index"]], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    cuts = np.searchsorted(inverse[order], np.arange(len(pairs) + 1))
+    gamma = rows["gamma"][order]
+    return {(int(pairs[g, 0]), int(pairs[g, 1])): gamma[cuts[g]:cuts[g + 1]]
+            for g in np.argsort(first)}
+
+
+def _parse_lines(path, kind) -> dict[Optional[tuple[int, int]], list[float]]:
+    """{group key: ordinates}, read line by line; the first line that
+    breaks a rule raises, naming its 1-based file line."""
     groups: dict[Optional[tuple[int, int]], list[float]] = {}
     with open(path, newline="") as fh:
         for i, key, text in (_zeta_rows if kind == "zeta" else _dirichlet_rows)(fh):
@@ -103,19 +174,7 @@ def load_zero_table(
                 where = "" if key is None else f" for group {key}"
                 raise ValidationError(f"ordinates{where} not strictly ascending at line {i}")
             group.append(v)
-    present = ", ".join(str(k) for k in groups if k is not None) or "none"
-    if label is not None:
-        key = (label.q, label.index)
-        if key not in groups:
-            raise ValidationError(f"no zeros for group {key} in the file; groups present: {present}")
-    elif len(groups) > 1:
-        raise ValidationError(
-            f"file holds {len(groups)} character groups ({present}); a label must select one")
-    else:
-        key = next(iter(groups), None)
-        label = None if key is None else CharacterLabel(*key)
-    ords = np.array(groups.get(key, []), dtype=np.float64)
-    return ZeroTable(kind, ords, float(ords[-1]) if ords.size else 0.0, label)
+    return groups
 
 
 def _zeta_rows(fh) -> Iterator[tuple[int, None, str]]:
@@ -130,7 +189,7 @@ def _dirichlet_rows(fh) -> Iterator[tuple[int, tuple[int, int], str]]:
     """(line number, (q, index), gamma text) per CSV row after the header."""
     reader = csv.reader(fh)
     header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["q", "index", "gamma"]:
+    if header is None or [h.strip().lower() for h in header] != _HEADER:
         raise ParseError(f"expected header q,index,gamma, got {header!r}", line_number=1)
     for i, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -160,15 +219,18 @@ def dump_zero_table(table: ZeroTable, path) -> None:
 
 def exact_weighted_sum(
     table: ZeroTable,
-    phi: Callable[[float], float],
+    phi: Callable[[np.ndarray], np.ndarray],
     U: float,
     V: float,
 ) -> float:
     """Sum phi over the table's ordinates in [U, V].
 
-    An ordinate equal to U or V is weighted 1/2.  Dirichlet tables
-    double each term (stored positive ordinates stand for conjugate pairs).
-    Raises CoverageError when V exceeds the table's certified height.
+    phi is called once, on the float64 array of the ordinates in range,
+    and returns their values (a constant broadcasts); the terms are summed
+    exactly rounded with math.fsum.  An ordinate equal to U or V is
+    weighted 1/2.  Dirichlet tables double each term (stored positive
+    ordinates stand for conjugate pairs).  Raises CoverageError when V
+    exceeds the table's certified height.
     """
     if U > V:
         raise DomainError(f"need U <= V, got U={U}, V={V}")
@@ -182,10 +244,9 @@ def exact_weighted_sum(
     sel = ords[lo:hi]
     if sel.size == 0:
         return 0.0
-    weights = np.ones(sel.size)
-    weights[sel == U] = 0.5
-    weights[sel == V] = 0.5
-    total = math.fsum(w * phi(g) for w, g in zip(weights, sel))
+    terms = np.array(np.broadcast_to(phi(sel), sel.shape), dtype=np.float64)
+    terms[(sel == U) | (sel == V)] *= 0.5
+    total = math.fsum(terms.tolist())
     if table.kind == "dirichlet":
         total *= 2.0
     return total

@@ -16,13 +16,17 @@ Weights are passed as WeightSpec records carrying an analytic derivative
 and the antiderivatives of phi, phi log(t/2pi) and phi/t.  The main terms
 are differences F(V) - F(U) and the error terms consume |phi'(U)|
 directly, so no numerical integration or differentiation is involved.
-Every canonical weight is positive, decreasing and convex for t > 0.
+Every canonical weight is positive, decreasing and convex for t > 0, and
+its value takes a float or a float64 array alike, with the same IEEE
+operations on each element.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -86,7 +90,7 @@ def _quarter_sqrt_logt(t: float) -> float:
 def weight_quarter_sqrt() -> WeightSpec:
     """phi(t) = (1/4 + t^2)^(-1/2)."""
     return WeightSpec(
-        lambda t: 1.0 / math.sqrt(0.25 + t * t),
+        lambda t: 1.0 / np.sqrt(0.25 + t * t),
         lambda t: -t * (0.25 + t * t) ** -1.5,
         plain=lambda t: math.asinh(2.0 * t),
         logt=_quarter_sqrt_logt,

@@ -112,6 +112,17 @@ class TestCountAndBound:
                      f"rhs={rhs}"):
             assert part in err
 
+    def test_bound_small_defaults_to_its_first_row(self, capsys):
+        # without --log-x0 the small chain starts at log(1.05e7), as verify ap
+        # --small does; its rhs there is negative, so the refusal names that row
+        code, out, err = run(capsys, "bound", "--kind", "pi_ap", "--x", "1e12", "--q", "5",
+                             "--small")
+        assert code == 2
+        assert out == ""
+        assert "requires log x0" not in err
+        for part in ("pi_ap", f"log x0={math.log(1.05e7)!r}", "rhs=-"):
+            assert part in err
+
     def test_bound_principal(self, capsys):
         code, out, _ = run(capsys, "bound", "--kind", "principal", "--x", "100",
                            "--q", "3", "--log-x0", "10")
@@ -290,6 +301,13 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "not coprime" in err
+
+    def test_gm_suite_small_defaults_above_threshold(self, capsys):
+        code, out, err = run(capsys, "verify", "gm", "--small", "--format", "json")
+        assert code == 0, err
+        samples = json.loads(out)["samples"]
+        assert len(samples) == 8
+        assert samples[0]["x"] == pytest.approx(1.05e7, rel=1e-12)
 
     def test_ap_suite_small_defaults_above_threshold(self, capsys):
         code, out, _ = run(capsys, "verify", "ap", "--small", "--q", "5",

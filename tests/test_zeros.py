@@ -1,17 +1,21 @@
+import csv
 import math
 import pickle
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pntap.zeros as zeros_module
 from pntap.errors import CoverageError, DomainError, ParseError, ValidationError
 from pntap.zeros import (CharacterLabel, ZeroTable, dump_zero_table,
                          exact_weighted_sum, load_zero_table, omega_low_sum)
+from pntap.zerosum import weight_inverse, weight_inverse_square, weight_quarter_sqrt
 
-from conftest import KNOWN_FIRST_ZEROS
+from conftest import DATA_DIR, KNOWN_FIRST_ZEROS, ZEROS_FILE
 
 
 def write(tmp_path, text, name="z.txt"):
@@ -287,3 +291,249 @@ class TestValidation:
                                   ([math.nan], 1.0), ([14.1], np.inf)]:
             with pytest.raises(ValidationError, match="finite"):
                 ZeroTable("zeta", np.array(ordinates), height)
+
+
+# ---------------------------------------------------------------------------
+# The per-line loader as it stood before load_zero_table read whole files
+# with numpy, frozen as the reference: on every file drawn below the loader
+# must agree with it, by array bytes and label or by exception class,
+# message and line number.
+
+def _reference_zeta_rows(fh):
+    for i, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield i, None, line
+
+
+def _reference_dirichlet_rows(fh):
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header] != ["q", "index", "gamma"]:
+        raise ParseError(f"expected header q,index,gamma, got {header!r}", line_number=1)
+    for i, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line_number=i)
+        try:
+            key = (int(row[0]), int(row[1]))
+        except ValueError:
+            raise ParseError(f"could not parse row {row!r}", line_number=i)
+        yield i, key, row[2]
+
+
+def reference_load(path, kind, label=None):
+    groups = {}
+    with open(path, newline="") as fh:
+        rows = _reference_zeta_rows if kind == "zeta" else _reference_dirichlet_rows
+        for i, key, text in rows(fh):
+            try:
+                v = float(text)
+            except ValueError:
+                raise ParseError(f"not a decimal ordinate: {text!r}", line_number=i)
+            if not 0.0 < v < math.inf:
+                raise ParseError(f"ordinate must be a positive real: {text!r}", line_number=i)
+            group = groups.setdefault(key, [])
+            if group and v <= group[-1]:
+                where = "" if key is None else f" for group {key}"
+                raise ValidationError(f"ordinates{where} not strictly ascending at line {i}")
+            group.append(v)
+    present = ", ".join(str(k) for k in groups if k is not None) or "none"
+    if label is not None:
+        key = (label.q, label.index)
+        if key not in groups:
+            raise ValidationError(f"no zeros for group {key} in the file; groups present: {present}")
+    elif len(groups) > 1:
+        raise ValidationError(
+            f"file holds {len(groups)} character groups ({present}); a label must select one")
+    else:
+        key = next(iter(groups), None)
+        label = None if key is None else CharacterLabel(*key)
+    ords = np.array(groups.get(key, []), dtype=np.float64)
+    return ZeroTable(kind, ords, float(ords[-1]) if ords.size else 0.0, label)
+
+
+def outcome(load, path, kind, label):
+    """What a reader makes of a file: the table's bytes and label, or the
+    error's class, message and line number."""
+    try:
+        t = load(path, kind, label)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return t.kind, t.ordinates.tobytes(), t.max_height, t.label
+
+
+GROUPS = [(7, 3), (7, 5), (5, 2), (11, 2)]
+CORRUPTIONS = {
+    "not a number": ["abc", "1.2.3", "--5", "", "0x1p4"],
+    "nan or inf": ["nan", "inf", "-inf", "Infinity", "NaN", "1e999"],
+    "not positive": ["0", "0.0", "-0.0", "-2.5", "1e-400"],
+    "two tokens": ["14.5 15.5", "1\t2"],
+}
+
+
+def _fmt(v, style):
+    return (repr(v), f"{v:.10f}", f"{v:.6e}", f"  {v!r}\t")[style]
+
+
+@st.composite
+def zero_files(draw):
+    """(kind, file text, label): a zeta or dirichlet file, valid or with one
+    corrupted line, among blank (and, for zeta, comment) lines."""
+    kind = draw(st.sampled_from(["zeta", "dirichlet"]))
+    groups = GROUPS[:draw(st.integers(1, 3))] if kind == "dirichlet" else [None]
+    rows = []
+    for key in groups:
+        values = sorted(set(draw(st.lists(
+            st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False), max_size=8))))
+        rows += [(key, v) for v in values]
+    rows = draw(st.permutations(rows)) if kind == "dirichlet" else rows
+    # re-sort within each group, so each group ascends in file order
+    by_key = {key: iter(sorted(v for k, v in rows if k == key)) for key in groups}
+    rows = [(key, next(by_key[key])) for key, _ in rows]
+    lines = []
+    for key, v in rows:
+        text = _fmt(v, draw(st.integers(0, 3)))
+        lines.append(text if key is None else f"{key[0]},{key[1]},{text}")
+    fillers = ["", "   ", "\t"] + (["# comment", "  # indented, 1.5"] if kind == "zeta" else [])
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(fillers)))
+    what = draw(st.sampled_from(["valid", "not a number", "nan or inf", "not positive",
+                                 "out of order", "field count", "label", "two tokens"]))
+    key = draw(st.sampled_from(groups))
+    prefix = "" if key is None else f"{key[0]},{key[1]},"
+    if what == "out of order":
+        # a repeat of one of the group's ordinates, or two equal lines
+        values = [v for k, v in rows if k == key]
+        bad = [prefix + repr(draw(st.sampled_from(values)))] if values else [prefix + "2.0"] * 2
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = bad
+    elif what in CORRUPTIONS:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     prefix + draw(st.sampled_from(CORRUPTIONS[what])))
+    elif what == "field count" and kind == "dirichlet":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["7,3", "7,3,2.5,1", "7", "7,3,2.5,"])))
+    elif what == "label" and kind == "dirichlet":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["7.0,3,2.5", "x,3,2.5", "7,3.5,2.5", ",3,2.5"])))
+    if kind == "dirichlet":
+        lines.insert(0, draw(st.sampled_from(["q,index,gamma", "Q, Index ,GAMMA"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    label = None
+    if kind == "dirichlet" and draw(st.booleans()):
+        label = CharacterLabel(*draw(st.sampled_from(GROUPS)))
+    return kind, text, label
+
+
+class TestLoaderOracle:
+    @given(zero_files())
+    @example(("zeta", "14.5 15.5\n21.0 22.0\n", None))  # every line two numbers
+    @example(("zeta", "# c\n14.5 # c\n", None))
+    @example(("dirichlet", "q,index,gamma\n7,3,2.5\n \n7,3,2.5\n", None))
+    @example(("dirichlet", "q,index,gamma\n\"7\",3,2.5\n7,3,1_0\n", CharacterLabel(7, 3)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_reader(self, tmp_path_factory, case):
+        kind, text, label = case
+        path = tmp_path_factory.getbasetemp() / "oracle.txt"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert outcome(load_zero_table, path, kind, label) == \
+            outcome(reference_load, path, kind, label)
+
+    @pytest.mark.parametrize("name", ["zeta_zeros.txt", "zeta_zeros_first100.txt"])
+    def test_bundled_tables_match_reference_reader(self, name):
+        path = DATA_DIR / name
+        assert outcome(load_zero_table, path, "zeta", None) == \
+            outcome(reference_load, path, "zeta", None)
+
+    @pytest.mark.parametrize("kind,text", [
+        ("zeta", "14.5\n\n21.0\n"),
+        ("dirichlet", "q,index,gamma\n7,3,2.5\n7,5,1.5\n\n7,3,4.0\n"),
+    ])
+    def test_plain_files_take_one_numpy_parse(self, tmp_path, kind, text):
+        # the line reader serves only files the tokenizer refuses or that
+        # break a rule; a plain file is read by numpy alone
+        groups = zeros_module._parse_whole(write(tmp_path, text, "z.csv"), kind)
+        assert groups is not None and all(isinstance(g, np.ndarray) for g in groups.values())
+
+    def test_peak_memory_on_bundled_table(self):
+        # the per-line reader peaked near 491 KB; a whole-file list of line
+        # strings would hold about 3.5 MB
+        load_zero_table(ZEROS_FILE, kind="zeta")
+        tracemalloc.start()
+        try:
+            load_zero_table(ZEROS_FILE, kind="zeta")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
+
+
+# ---------------------------------------------------------------------------
+# exact_weighted_sum calls phi once on an array; the scalar loop it replaced
+# is the reference, compared by float.hex.
+
+def reference_sum(table, phi, U, V):
+    ords = table.ordinates
+    sel = ords[np.searchsorted(ords, U, side="left"):np.searchsorted(ords, V, side="right")]
+    if sel.size == 0:
+        return 0.0
+    weights = np.ones(sel.size)
+    weights[sel == U] = 0.5
+    weights[sel == V] = 0.5
+    total = math.fsum(w * phi(g) for w, g in zip(weights, sel))
+    return total * 2.0 if table.kind == "dirichlet" else total
+
+
+CANONICAL = [weight_inverse(), weight_inverse_square(), weight_quarter_sqrt()]
+
+
+def _ranges(ords, rng, n):
+    """n seeded ranges inside the table, n with U or V (or both) on an
+    ordinate, and n empty ones between two neighbouring ordinates."""
+    top = float(ords[-1])
+    out = [tuple(sorted(rng.uniform(0.0, top, 2).tolist())) for _ in range(n)]
+    for _ in range(n):
+        i, j = sorted(rng.integers(0, ords.size, 2).tolist())
+        out += [(float(ords[i]), float(ords[j])), (float(ords[i]), top),
+                (0.5, float(ords[j])), (float(ords[i]), float(ords[i]))]
+        k = int(rng.integers(0, ords.size - 1))
+        mid = 0.5 * (float(ords[k]) + float(ords[k + 1]))
+        out.append((mid, mid))
+    return out
+
+
+class TestSumsBitIdentical:
+    @pytest.mark.parametrize("kind", ["zeta", "dirichlet"])
+    def test_against_scalar_fsum(self, zeta_table, kind):
+        ords = zeta_table.ordinates[:3000]
+        table = ZeroTable(kind, ords, float(ords[-1]),
+                          CharacterLabel(7, 3) if kind == "dirichlet" else None)
+        rng = np.random.default_rng(2701)
+        phis = [w.value for w in CANONICAL] + [lambda t: 1.0, lambda t: 1.0 / (1.0 + t)]
+        for U, V in _ranges(ords, rng, 20):
+            for phi in phis:
+                got = exact_weighted_sum(table, phi, U, V)
+                assert float(got).hex() == float(reference_sum(table, phi, U, V)).hex()
+
+    def test_phi_sees_the_table_unchanged(self, zeta_table_small):
+        # phi may hand back its argument; halving an endpoint term must not
+        # write into the table
+        before = zeta_table_small.ordinates.copy()
+        g1 = float(before[0])
+        assert exact_weighted_sum(zeta_table_small, lambda t: t, g1, 30.0) == \
+            math.fsum([0.5 * g1, *before[1:3].tolist()])
+        assert zeta_table_small.ordinates.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("weight", CANONICAL, ids=lambda w: w.name)
+    def test_canonical_value_on_array_equals_value_on_each_float(self, zeta_table, weight):
+        rng = np.random.default_rng(2702)
+        ts = np.concatenate([zeta_table.ordinates, rng.uniform(5.0 / 7.0, 2e4, 2000),
+                             [5.0 / 7.0, 2.0 * math.pi, 1e-3, 1e8]])
+        on_array = weight.value(ts)
+        assert on_array.dtype == np.float64 and on_array.shape == ts.shape
+        assert [v.hex() for v in on_array.tolist()] == \
+            [float(weight.value(t)).hex() for t in ts.tolist()]
