@@ -266,7 +266,8 @@ def compare_gm_baseline(ap: APConstants, q: int, xs: Sequence[float]) -> BoundRe
     """Record our pi-bound right side against the cyclotomic baseline.
 
     Comparison only: margin > 0 means our bound is smaller (better) at
-    that x.  Nothing is counted as a violation.
+    that x.  Nothing is counted as a violation; a sample where our bound
+    is non-positive bounds nothing and is skipped, not compared.
     """
     if len(xs) == 0:  # a suite over no x would pass on no sample
         raise DomainError("need at least one evaluation point")
@@ -275,7 +276,10 @@ def compare_gm_baseline(ap: APConstants, q: int, xs: Sequence[float]) -> BoundRe
     for x in xs:
         ours = evaluate_bounds("pi_ap", x, q, ap)
         baseline = gm_baseline_pi_bound(x, q)
+        skipped = ours <= 0.0
         report.samples.append(BoundSample(
-            x, q, 0, ours, baseline, baseline - ours, what="pi rhs vs baseline"))
+            x, q, 0, ours, baseline, baseline - ours, what="pi rhs vs baseline",
+            skipped=skipped))
+        report.skipped += skipped
     report.runtime = time.perf_counter() - t0
     return report

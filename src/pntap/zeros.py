@@ -13,16 +13,15 @@ zeta:      plain text, one decimal ordinate per line, ascending; blank
 dirichlet: CSV with header ``q,index,gamma``; gamma > 0 ascending within
            each (q, index) group.
 
-One parse reads both: numpy's C tokenizer reads the whole file at once, a
-zeta file as one column and a dirichlet file (after its header) as
-(q, index, gamma) rows, and the rules are checked on the arrays: each
-ordinate a finite positive real, strictly ascending within its group.  A
-file that numpy's tokenizer refuses or that breaks a rule is read again
+A zeta file is read with one numpy parse: numpy's C tokenizer reads the
+whole file as one column, and the rules are checked on the array: each
+ordinate a finite positive real, strictly ascending.  A zeta file that the
+tokenizer refuses or that breaks a rule, and every dirichlet file, is read
 line by line, and the first bad line raises, naming its 1-based file line.
 The line reader also takes what the format allows and the tokenizer does
-not: comment lines in a zeta file, a whitespace-only CSV line, quoted CSV
-fields and digit separators.  A label then picks its group or fails;
-without one, the file's only group is used.
+not: comment lines in a zeta file and, in a CSV, whitespace-only lines,
+quoted fields and digit separators.  A label then picks its group or
+fails; without one, the file's only group is used.
 """
 from __future__ import annotations
 
@@ -96,7 +95,7 @@ def load_zero_table(
     gives the rules and how a label selects a group."""
     if kind not in ("zeta", "dirichlet"):
         raise ValidationError(f"unknown table kind {kind!r}")
-    groups = _parse_whole(path, kind)
+    groups = _parse_whole(path) if kind == "zeta" else None
     if groups is None:
         groups = _parse_lines(path, kind)
     present = ", ".join(str(k) for k in groups if k is not None) or "none"
@@ -115,46 +114,24 @@ def load_zero_table(
 
 
 _HEADER = ["q", "index", "gamma"]
-_CSV_ROW = np.dtype([("q", np.int64), ("index", np.int64), ("gamma", np.float64)])
 
 
-def _parse_whole(path, kind) -> Optional[dict[Optional[tuple[int, int]], np.ndarray]]:
-    """{group key: ordinates} from one numpy parse of the file; None when
-    the tokenizer refuses a line or an ordinate breaks a rule, so that the
-    line reader names the line."""
+def _parse_whole(path) -> Optional[dict[None, np.ndarray]]:
+    """{None: ordinates} of a zeta file from one numpy parse ({} when it
+    holds none); None when the tokenizer refuses a line or an ordinate
+    breaks a rule, so that the line reader names the line."""
     with open(path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            if kind == "zeta":
-                rows = np.loadtxt(fh, comments=None, ndmin=2)
-                if rows.shape[1] != 1:  # two or more numbers on a line
-                    return None
-                groups = {None: rows[:, 0]} if rows.size else {}
-            elif [h.strip().lower() for h in fh.readline().split(",")] != _HEADER:
-                return None
-            else:
-                groups = _split_groups(
-                    np.loadtxt(fh, delimiter=",", comments=None, dtype=_CSV_ROW, ndmin=1))
+            rows = np.loadtxt(fh, comments=None, ndmin=2)
         except ValueError:
             return None
-    for gamma in groups.values():  # 0 < gamma < inf also rejects nan
-        if not (np.all(gamma > 0.0) and np.all(gamma < math.inf) and np.all(np.diff(gamma) > 0.0)):
-            return None
-    return groups
-
-
-def _split_groups(rows: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """{(q, index): its gammas in file order}, in the order the groups
-    first appear in the file."""
-    if rows.size == 0:
-        return {}
-    pairs, first, inverse = np.unique(np.stack([rows["q"], rows["index"]], axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    cuts = np.searchsorted(inverse[order], np.arange(len(pairs) + 1))
-    gamma = rows["gamma"][order]
-    return {(int(pairs[g, 0]), int(pairs[g, 1])): gamma[cuts[g]:cuts[g + 1]]
-            for g in np.argsort(first)}
+    if rows.shape[1] != 1:  # two or more numbers on a line
+        return None
+    gamma = rows[:, 0]  # 0 < gamma < inf also rejects nan
+    if not (np.all(gamma > 0.0) and np.all(gamma < math.inf) and np.all(np.diff(gamma) > 0.0)):
+        return None
+    return {None: gamma} if gamma.size else {}
 
 
 def _parse_lines(path, kind) -> dict[Optional[tuple[int, int]], list[float]]:

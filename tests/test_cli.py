@@ -303,11 +303,17 @@ class TestVerifyCommand:
         assert "not coprime" in err
 
     def test_gm_suite_small_defaults_above_threshold(self, capsys):
+        # the small chain's pi bound is negative at these x: such
+        # samples are skipped, not read as beating the baseline
         code, out, err = run(capsys, "verify", "gm", "--small", "--format", "json")
         assert code == 0, err
-        samples = json.loads(out)["samples"]
+        blob = json.loads(out)
+        samples = blob["samples"]
         assert len(samples) == 8
         assert samples[0]["x"] == pytest.approx(1.05e7, rel=1e-12)
+        assert samples[0]["lhs"] < 0.0 and samples[0]["skipped"]
+        assert all(s["skipped"] == (s["lhs"] <= 0.0) for s in samples)
+        assert blob["skipped"] == sum(s["skipped"] for s in samples)
 
     def test_ap_suite_small_defaults_above_threshold(self, capsys):
         code, out, _ = run(capsys, "verify", "ap", "--small", "--q", "5",

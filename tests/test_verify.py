@@ -206,6 +206,14 @@ class TestGmComparison:
         assert report.passed
         assert len(report.samples) == 2
 
+    def test_nonpositive_bound_is_skipped(self, ap10):
+        # a negative pi bound bounds nothing; its positive margin is not a win
+        report = compare_gm_baseline(ap10, 3, [1e5, 1e8])
+        low, high = report.samples
+        assert low.lhs < 0.0 and low.skipped
+        assert high.lhs > 0.0 and not high.skipped
+        assert report.skipped == 1 and report.passed
+
     def test_log500_row_improves(self):
         *_, ap = C.chain(500.0, False)
         x = math.exp(500.0)

@@ -449,15 +449,11 @@ class TestLoaderOracle:
         assert outcome(load_zero_table, path, "zeta", None) == \
             outcome(reference_load, path, "zeta", None)
 
-    @pytest.mark.parametrize("kind,text", [
-        ("zeta", "14.5\n\n21.0\n"),
-        ("dirichlet", "q,index,gamma\n7,3,2.5\n7,5,1.5\n\n7,3,4.0\n"),
-    ])
-    def test_plain_files_take_one_numpy_parse(self, tmp_path, kind, text):
-        # the line reader serves only files the tokenizer refuses or that
-        # break a rule; a plain file is read by numpy alone
-        groups = zeros_module._parse_whole(write(tmp_path, text, "z.csv"), kind)
-        assert groups is not None and all(isinstance(g, np.ndarray) for g in groups.values())
+    def test_plain_zeta_file_takes_one_numpy_parse(self, tmp_path):
+        # the line reader serves only zeta files the tokenizer refuses or
+        # that break a rule; a plain zeta file is read by numpy alone
+        groups = zeros_module._parse_whole(write(tmp_path, "14.5\n\n21.0\n"))
+        assert list(groups) == [None] and groups[None].tolist() == [14.5, 21.0]
 
     def test_peak_memory_on_bundled_table(self):
         # the per-line reader peaked near 491 KB; a whole-file list of line
