@@ -281,7 +281,6 @@ class SozConstants:
     f1: float
     f2: float
     f3: float
-    f5: float
     k1: float
     k2: float
     small_moduli: bool = False
@@ -326,7 +325,7 @@ def _zero_sum(log_x0: float, lower: float, log_term: float,
     f5 = (nu2 + nu4 + low_const) * fac12 - 0.5334
     return SozConstants(
         log_x0=log_x0, nu1=nu1, nu2=nu2, nu3=nu3, nu4=nu4,
-        f1=f1, f2=f2, f3=f3, f5=f5, k1=f3 + f5 / log_x0, k2=k2,
+        f1=f1, f2=f2, f3=f3, k1=f3 + f5 / log_x0, k2=k2,
     )
 
 
@@ -395,10 +394,8 @@ class ShortIntervalConstants:
 
     log_x0: float
     kappa: KappaParams
-    ell0: float
     ell1: float
     ell2: float
-    ell3: float
     ell4: float
     ell5: float
     ell7: float
@@ -423,7 +420,7 @@ BETA_2 = 3.0 ** (1.0 / 3.0) * ALPHA_2 - 2.0 / 3.0
 
 
 def _k3_terms(log_x0: float, kappa0: float, kappa1: float, kappa2: float):
-    """The split and the pieces of k3: (kappa1 eta, ell0, ell2, ell3, ell5, ell7).
+    """The split and the pieces of k3: (kappa1 eta, ell2, ell5, ell7).
 
     DomainError outside the admissibility rule (see short_interval_constants).
     Each x-dependent factor is taken at its worst case x = x0 (each ratio
@@ -452,13 +449,13 @@ def _k3_terms(log_x0: float, kappa0: float, kappa1: float, kappa2: float):
         + max(8.0 * kappa0,
               4.0 * kappa0 * math.log(x0 + (1.0 + kappa0) * sx * log_x0) / math.log(tau)) \
         + 2.0 * BETA_1 / log_x0 + 2.0 * BETA_2 * x0 ** (-1.0 / 6.0) / log_x0
-    return k1e, ell0, ell2, ell3, ell0 + ell3 + sigma2_coef, ell7
+    return k1e, ell2, ell0 + ell3 + sigma2_coef, ell7
 
 
 def k3_value(log_x0: float, kappa0: float, kappa1: float, kappa2: float) -> float:
     """k3 alone; inf when kappa is inadmissible at log x0."""
     try:
-        _, _, _, _, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
+        _, _, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
     except DomainError:
         return math.inf
     return ell5 + ell7
@@ -470,10 +467,11 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
     Kappa is admissible when 0 < kappa0 < 1, kappa1 eta and kappa2 eta/kappa0
     are finite and > 2 pi, and tau = kappa0 sqrt(x0) log x0 > 2, with eta =
     splitting_height(log x0); ``_k3_terms`` alone decides it.  Audit notes,
-    as the code reads (ROADMAP item 7): per sqrt(x) log x at x0, ell0 bounds
-    the zeros above kappa2 eta/kappa0, ell3 those down to kappa1 eta (ell2
-    bounds |y^rho - x^rho|/sqrt(x)) and sigma2_coef those below; ell7 holds
-    the smoothing, the primes near both ends and the prime powers.  ell3
+    as the code reads (ROADMAP item 7): per sqrt(x) log x at x0, the locals
+    of ``_k3_terms`` bound the zeros: ell0 those above kappa2 eta/kappa0,
+    ell3 those down to kappa1 eta (ell2 bounds |y^rho - x^rho|/sqrt(x)) and
+    sigma2_coef those below, and the record keeps only their sum ell5; ell7
+    holds the smoothing, the primes near both ends and the prime powers.  ell3
     assumes kappa2 >= kappa0 kappa1: on the log x0 = 40 reference row its
     log(kappa2/(kappa0 kappa1)) = -0.148 lowers k3, and optimize_kappa
     returns that row at 33.3, 37.5 and 45.1.  ell1 is a lower bound for
@@ -482,7 +480,7 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
     """
     _require_log_x0(log_x0)
     kappa0, kappa1, kappa2 = kappa.kappa0, kappa.kappa1, kappa.kappa2
-    k1e, ell0, ell2, ell3, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
+    k1e, ell2, ell5, ell7 = _k3_terms(log_x0, kappa0, kappa1, kappa2)
     ell1 = (k1e / (kappa0 * PI)) * math.log(k1e / (TWO_PI * math.e * kappa0)) \
         - 7.0 / 4.0 - 2.0 * count_remainder_R(k1e)
     logt = weight_quarter_sqrt().logt
@@ -493,7 +491,7 @@ def short_interval_constants(log_x0: float, kappa: KappaParams) -> ShortInterval
                    + 0.04509)
     return ShortIntervalConstants(
         log_x0=log_x0, kappa=kappa,
-        ell0=ell0, ell1=ell1, ell2=ell2, ell3=ell3, ell4=ell4, ell5=ell5, ell7=ell7,
+        ell1=ell1, ell2=ell2, ell4=ell4, ell5=ell5, ell7=ell7,
     )
 
 

@@ -2,9 +2,10 @@
 
 Every suite produces a BoundReport: a list of samples (x, q, a, lhs, rhs,
 margin) with a violation count.  A passing report has zero violations;
-samples whose right-hand side is non-positive are counted as skipped, not
-violated, and surfaced so vacuous checks remain visible.  All suites are
-deterministic for fixed inputs (randomized ranges come from a fixed seed).
+samples whose right-hand side is non-positive are marked skipped, not
+violated, and the skip count is the number of samples so marked, so vacuous
+checks remain visible.  All suites are deterministic for fixed inputs
+(randomized ranges come from a fixed seed).
 """
 from __future__ import annotations
 
@@ -53,17 +54,19 @@ class BoundReport:
     check_name: str
     samples: list[BoundSample] = field(init=False, default_factory=list)
     violations: int = field(init=False, default=0)
-    skipped: int = field(init=False, default=0)
     runtime: float = field(init=False, default=0.0)
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
+    @property
+    def skipped(self) -> int:
+        return sum(s.skipped for s in self.samples)
+
     def add(self, x, q, a, lhs, rhs, what, skip_nonpositive_rhs=False):
         if skip_nonpositive_rhs and rhs <= 0.0:
             self.samples.append(BoundSample(x, q, a, lhs, rhs, rhs - lhs, what, skipped=True))
-            self.skipped += 1
             return
         margin = rhs - lhs
         self.samples.append(BoundSample(x, q, a, lhs, rhs, margin, what))
@@ -276,10 +279,8 @@ def compare_gm_baseline(ap: APConstants, q: int, xs: Sequence[float]) -> BoundRe
     for x in xs:
         ours = evaluate_bounds("pi_ap", x, q, ap)
         baseline = gm_baseline_pi_bound(x, q)
-        skipped = ours <= 0.0
         report.samples.append(BoundSample(
             x, q, 0, ours, baseline, baseline - ours, what="pi rhs vs baseline",
-            skipped=skipped))
-        report.skipped += skipped
+            skipped=ours <= 0.0))
     report.runtime = time.perf_counter() - t0
     return report

@@ -4,8 +4,9 @@ A caller is a reference from code outside the tests: another top-level
 statement of src/pntap, or perfbench/*.py and scripts/*.py other than
 their test files.  A reference is a name, an attribute or a dotted name
 string (perfbench/trace.py names what it wraps as "module", "Class.method"
-strings).  Imports, docstrings and a definition's own body do not count,
-so re-exporting a name from pntap/__init__.py gives it no caller.
+strings).  Imports, docstrings, the text of f-strings and a definition's
+own body do not count, so re-exporting a name from pntap/__init__.py gives
+it no caller.
 
 Every defaulted parameter of src/pntap is named in DEFAULTS with the
 reason it has a default, so a new default, like a new option, needs one.
@@ -15,9 +16,19 @@ A reason names callers, and the calls of those same files show them: some
 call passes the parameter, by keyword, by position or as a replace(...)
 keyword, and some call takes its default.  Otherwise only tests set the
 option or take the default.
+
+Every @dataclass field and every method or property of a class of
+src/pntap has a reader in program code, where an attribute or a dotted name
+string names it; the class's own __post_init__ does not count.  A field that
+only tests read is named in FIELDS_TESTS_ONLY with its reason.  Every cache
+of src/pntap is named in CACHES with program traffic that hits it.
 """
 import ast
+import importlib
 from pathlib import Path
+
+from perfbench import workloads
+from pntap import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pntap"
@@ -81,6 +92,55 @@ TESTS_ONLY = {
 }
 
 
+# record fields that only tests read, each kept for a named reason; every
+# other field, method and property of src/pntap has a reader in program code
+FIELDS_TESTS_ONLY = {
+    ("arith", "DirichletCharacter", "parity"): "tests check chi(-1) = (-1)^parity",
+    ("arith", "DirichletCharacter", "conductor"):
+        "tests check it against the least modulus that induces the character",
+    ("constants", "SozConstants", "nu1"):
+        "audit term of k2: tests check k2 - k2~ = 0.94873 + nu1 - nu1~; the validator reads it",
+    ("constants", "SozConstants", "nu2"):
+        "audit term of k1: tests check nu1 log q + nu2 against the Lehman bound",
+    ("constants", "SozConstants", "nu3"): "audit term of k2: tests pin it equal in both chains",
+    ("constants", "SozConstants", "nu4"): "audit term of k1: tests pin it equal in both chains",
+    ("constants", "SozConstants", "f1"):
+        "audit term: tests pin its 1/(8 pi) cap, which only the validator reads",
+    ("constants", "SozConstants", "f2"):
+        "audit term: tests pin its 1/(2 pi) cap, which only the validator reads",
+    ("constants", "SozConstants", "f3"): "audit term of k1: tests pin it equal in both chains",
+    ("constants", "ShortIntervalConstants", "ell2"): "tests rebuild ell4 from it with mpmath",
+    ("constants", "TwistedPsiConstants", "sigma4"): "tests check k5 = sigma4 when k2 > 0",
+    ("constants", "TwistedPsiConstants", "sigma5"): "tests check k5 = sigma5 when k2 < 0",
+    ("constants", "TwistedPsiConstants", "sigma6"):
+        "tests check that it holds the anchor's k1~, frozen and self-consistent",
+    ("constants", "TwistedPsiConstants", "sigma7"): "tests check sigma7 = k2~ log 3",
+    ("quadrature", "QuadResult", "abs_error_estimate"):
+        "tests check the reference integrator's error estimate",
+}
+
+
+def _off_grid_constants():
+    # each off-grid row's chain asks again for the kappa and the zero-sum
+    # integrals that its first link computed
+    cli.main(["constants", "--which", "all", "--small", "--self-consistent",
+              "--log-x0", "18.3", "--log-x0", "37.5"])
+
+
+def _twisted_characters():
+    # theta right after psi at the same x and q
+    workloads.run_twisted_characters(workloads.prepare_twisted_characters(1, ROOT))
+
+
+# every lru_cache or cache function of src/pntap as (module, function), with
+# the program traffic that hits it
+CACHES = {
+    ("constants", "_live_quad"): _off_grid_constants,
+    ("constants", "optimize_kappa"): _off_grid_constants,
+    ("arith", "_last_masses"): _twisted_characters,
+}
+
+
 def _docstrings(tree: ast.AST) -> set[int]:
     """ids of the docstring constants in tree."""
     out = set()
@@ -94,14 +154,21 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def _referenced(node: ast.AST, docstrings: set[int]) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} \
+        | _attributes_read(node, docstrings)
+
+
+def _attributes_read(node: ast.AST, docstrings: set[int]) -> set[str]:
+    """The references in node that can name an attribute: an attribute, or
+    a part of a dotted name string (not of a docstring or an f-string's text)."""
+    texts = docstrings | {id(v) for sub in ast.walk(node) if isinstance(sub, ast.JoinedStr)
+                          for v in sub.values}
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
-                and id(sub) not in docstrings:
+                and id(sub) not in texts:
             names.update(sub.value.split("."))
     return names
 
@@ -111,6 +178,43 @@ def _caller_files() -> list[Path]:
     return [path for path in sorted([*(ROOT / "perfbench").glob("*.py"),
                                      *(ROOT / "scripts").glob("*.py")])
             if not path.name.startswith("test_")]
+
+
+def _member_reads():
+    """(members, read): members holds (module, Class, member) for every
+    @dataclass field and every non-dunder method or property of a top-level
+    class of src/pntap, read those members some program code reads.
+
+    A member is read where an attribute or a dotted name string names it
+    (see _attributes_read); a local variable or a keyword of the same name
+    reads nothing.  A class's own __post_init__ reads none of its members:
+    a value only its validator reads has no reader."""
+    members, refs, own = set(), set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = _docstrings(tree)
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                refs |= _attributes_read(stmt, docs)
+                continue
+            cls = path.stem, stmt.name
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__":
+                    own[cls] = _attributes_read(sub, docs)
+                    continue
+                if _is_dataclass(stmt) and isinstance(sub, ast.AnnAssign):
+                    members.add((*cls, sub.target.id))
+                elif isinstance(sub, ast.FunctionDef) \
+                        and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    members.add((*cls, sub.name))
+                refs |= _attributes_read(sub, docs)
+    for path in _caller_files():
+        tree = ast.parse(path.read_text())
+        refs |= _attributes_read(tree, _docstrings(tree))
+    read = {(module, cls, name) for module, cls, name in members
+            if name in refs or any(name in names for c, names in own.items()
+                                   if c != (module, cls))}
+    return members, read
 
 
 def _definitions_and_references():
@@ -258,3 +362,44 @@ def test_tests_only_list_holds_only_such_defaults():
     passed, taken = _passes_and_takes()
     assert set(TESTS_ONLY) <= set(DEFAULTS)
     assert sorted(k for k in TESTS_ONLY if k in passed and k in taken) == []
+
+
+def _cached_functions() -> set[tuple[str, str]]:
+    """(module, function) for every function of src/pntap decorated with
+    lru_cache or cache."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    d = d.func if isinstance(d, ast.Call) else d
+                    if getattr(d, "id", getattr(d, "attr", None)) in ("lru_cache", "cache"):
+                        out.add((path.stem, node.name))
+    return out
+
+
+def test_every_field_and_method_has_a_reader():
+    # a value only tests read joins FIELDS_TESTS_ONLY with its reason; one nothing reads goes
+    members, read = _member_reads()
+    unread = sorted(members - read - set(FIELDS_TESTS_ONLY))
+    assert unread == [], f"fields and methods no program code reads: {unread}"
+
+
+def test_fields_tests_only_list_holds_only_such_fields():
+    # an entry that gains a program reader, or whose field is gone, leaves the list
+    members, read = _member_reads()
+    assert sorted(set(FIELDS_TESTS_ONLY) - members) == [], "named fields that are gone"
+    assert sorted(set(FIELDS_TESTS_ONLY) & read) == [], "named fields that program code reads"
+
+
+def test_every_cache_serves_its_traffic(capsys):
+    # a cache joins CACHES with the program traffic that hits it, or goes
+    assert sorted(_cached_functions() ^ set(CACHES)) == [], "caches not named, or named and gone"
+    missed = []
+    for (module, name), traffic in CACHES.items():
+        cached = getattr(importlib.import_module(f"pntap.{module}"), name)
+        cached.cache_clear()
+        traffic()
+        if cached.cache_info().hits < 1:
+            missed.append((module, name, traffic.__name__))
+    assert missed == [], f"caches their traffic never hits: {missed}"

@@ -239,8 +239,22 @@ class TestReportSerialization:
         assert not r.passed
         assert r.violations == 1
 
-    def test_counts_come_only_from_samples(self):
+    def test_counts_come_only_from_samples(self, ap10):
         # the counts are kept by add(); a report given a count and no sample would read FAIL
         for counts in ({"violations": 5}, {"skipped": 1}, {"samples": []}, {"runtime": 1.0}):
             with pytest.raises(TypeError):
                 BoundReport("demo", **counts)
+        # the skip count is read off the samples, for add() and for gm alike
+        mixed = BoundReport("demo")
+        for rhs in (2.0, -1.0, 0.0, 0.5, -4.0):
+            mixed.add(10.0, 3, 1, 1.0, rhs, what="psi", skip_nonpositive_rhs=True)
+        mixed.add(10.0, 3, 1, 1.0, -1.0, what="psi")
+        gm = compare_gm_baseline(ap10, 3, [math.exp(t) for t in (10.5, 12.0, 16.0, 20.0)])
+        for r in (mixed, gm):
+            n = sum(s.skipped for s in r.samples)
+            assert 0 < n < len(r.samples)
+            assert r.skipped == n and json.loads(r.to_json())["skipped"] == n
+            assert f"skipped: {n} " in r.to_markdown()
+            with pytest.raises(AttributeError):
+                r.skipped = 3
+        assert (mixed.skipped, mixed.violations) == (3, 2)
