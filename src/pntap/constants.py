@@ -53,7 +53,7 @@ from typing import Optional
 from .arith import _modulus, prime_factors
 from .errors import DomainError, ValidationError
 from .quadrature import exp_integral_ei
-from .zerosum import GAMMA_1, count_remainder_R, weight_quarter_sqrt
+from .zerosum import GAMMA_1, LOW_COUNT_TWICE, count_remainder_R, weight_quarter_sqrt
 from .zeros import OMEGA_DEFAULT
 
 PI = math.pi
@@ -333,25 +333,23 @@ def soz_constants(log_x0: float) -> SozConstants:
     """Zero-sum constants k1(x0), k2(x0) for general moduli, log x0 >= 10."""
     _require_log_x0(log_x0)
     lower = 5.0 / 7.0
-    return _zero_sum(log_x0, lower, math.log(lower / TWO_PI), 0.94873, 11.27041)
+    return _zero_sum(log_x0, lower, math.log(lower / TWO_PI), *LOW_COUNT_TWICE)
 
 
-def soz_constants_small(log_x0: float, omega: float = OMEGA_DEFAULT) -> SozConstants:
+def soz_constants_small(log_x0: float) -> SozConstants:
     """Zero-sum constants k1~(x0), k2~(x0) for moduli up to 10^4.
 
-    The zeros from height 200 up, the ones below summed exactly into omega,
-    the maximal low-zero sum (recompute via zeros.omega_low_sum when zero
-    data is available).  Requires log x0 >= log(1.05e7) so the splitting
-    height clears 200.
+    The zeros from height 200 up; the ones below are summed exactly into
+    zeros.OMEGA_DEFAULT, the maximal low-zero sum over the primitive
+    characters (zeros.omega_low_sum recomputes it from zero data).  Requires
+    log x0 >= log(1.05e7) so the splitting height clears 200.
     """
     if log_x0 < SMALL_LOG_X0_MIN:
         raise DomainError(
             f"requires log x0 >= log(1.05e7) = {SMALL_LOG_X0_MIN:.6f}, got {log_x0}"
         )
-    if not (math.isfinite(omega) and omega > 0):
-        raise DomainError(f"omega must be finite and positive, got {omega}")
     _require_log_x0(log_x0)
-    tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, omega)
+    tilde = _zero_sum(log_x0, 200.0, math.log(1.0 / (400.0 * PI)), 0.0, OMEGA_DEFAULT)
     return replace(tilde, small_moduli=True)
 
 
@@ -525,7 +523,7 @@ def optimize_kappa(log_x0: float) -> KappaSearch:
 
     def objective(l0, l1):
         kap0, kap1 = math.exp(l0), math.exp(l1)
-        if not (0.0 < kap0 < 1.0 and 1.0 < kap1 < 1e4):
+        if not 1.0 < kap1 < 1e4:
             return math.inf
         return k3_value(log_x0, kap0, kap1, max(KAPPA2_FLOOR, kap0 * kap1))
 
@@ -696,20 +694,19 @@ class APConstants:
                 self.Omega4, self.Omega2, self.Omega3)
 
 
-def ap_constants(log_x0: float, tp: TwistedPsiConstants,
-                 clamp_omega1: bool = False) -> APConstants:
+def ap_constants(log_x0: float, tp: TwistedPsiConstants) -> APConstants:
     """Fold the twisted-psi constants into the progression constants.
 
-    clamp_omega1=True replaces Omega1 by max(Omega1, 0) before folding it
-    into Omega3, which keeps the constant admissible uniformly in x; the
-    bundled reference tables for the general chain fold the signed Omega1,
-    so that is the default.
+    A small-moduli record folds max(Omega1, 0) into Omega3, which keeps the
+    constant admissible uniformly in x, as the small-moduli reference rows
+    were built; a general record folds the signed Omega1, as the bundled
+    general tables do (ROADMAP item 1 settles that fold).
     """
     _require_log_x0(log_x0)
     if abs(tp.log_x0 - log_x0) > 1e-12:
         raise ValidationError("tp must be computed at the same log x0")
     sx = math.exp(0.5 * log_x0)
-    o1 = max(tp.Omega1, 0.0) if clamp_omega1 else tp.Omega1
+    o1 = max(tp.Omega1, 0.0) if tp.small_moduli else tp.Omega1
     return APConstants(
         log_x0=log_x0,
         Omega2=tp.Omega2,
@@ -720,11 +717,11 @@ def ap_constants(log_x0: float, tp: TwistedPsiConstants,
 
 
 def ap_constants_small(log_x0: float, tp_small: TwistedPsiConstants) -> APConstants:
-    """Small-moduli progression constants; the signed Omega1 fold is clamped
-    at zero here, matching how the small-moduli reference rows were built."""
+    """Small-moduli progression constants: ap_constants on a record that
+    must be a small-moduli one, so its Omega1 fold is clamped at zero."""
     if not tp_small.small_moduli:
         raise ValidationError("need a small-moduli twisted-psi record")
-    return ap_constants(log_x0, tp_small, clamp_omega1=True)
+    return ap_constants(log_x0, tp_small)
 
 
 def chain(log_x0: float, small: bool, self_consistent: bool = False):

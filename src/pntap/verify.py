@@ -44,7 +44,7 @@ class BoundSample:
     rhs: float
     margin: float
     what: str
-    skipped: bool = False
+    skipped: bool
 
 
 @dataclass
@@ -65,12 +65,10 @@ class BoundReport:
         return sum(s.skipped for s in self.samples)
 
     def add(self, x, q, a, lhs, rhs, what, skip_nonpositive_rhs=False):
-        if skip_nonpositive_rhs and rhs <= 0.0:
-            self.samples.append(BoundSample(x, q, a, lhs, rhs, rhs - lhs, what, skipped=True))
-            return
+        skipped = skip_nonpositive_rhs and rhs <= 0.0
         margin = rhs - lhs
-        self.samples.append(BoundSample(x, q, a, lhs, rhs, margin, what))
-        if margin < 0.0:
+        self.samples.append(BoundSample(x, q, a, lhs, rhs, margin, what, skipped))
+        if margin < 0.0 and not skipped:
             self.violations += 1
 
     def to_json(self) -> str:

@@ -35,6 +35,7 @@ A1 = 0.059
 A2 = 1.0 / 150.0
 TWO_PI = 2.0 * math.pi
 GAMMA_1 = 14.13472  # height of the first zeta zero (lower bound)
+LOW_COUNT_TWICE = (0.94873, 11.27041)  # trusted: 2 N(5/7, chi) <= [0] log q + [1]
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ def low_count_twice_bound(q: int) -> float:
     """Upper bound 0.94873 log q + 11.27041 for 2*N(5/7, chi), q >= 3."""
     if q < 3:
         raise DomainError(f"modulus must be >= 3, got {q}")
-    return 0.94873 * math.log(q) + 11.27041
+    slope, const = LOW_COUNT_TWICE
+    return slope * math.log(q) + const
 
 
 def lehman_sum_upper(phi: WeightSpec, U: float, V: float, q: int) -> float:

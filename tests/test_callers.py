@@ -15,7 +15,9 @@ its Class.__init__, in field order (a field(init=False) is no parameter).
 A reason names callers, and the calls of those same files show them: some
 call passes the parameter, by keyword, by position or as a replace(...)
 keyword, and some call takes its default.  Otherwise only tests set the
-option or take the default.
+option or take the default, and the entry is named in TESTS_ONLY too; its
+function must then be one that perfbench references, so the default
+changes only with the benchmark.
 
 Every @dataclass field and every method or property of a class of
 src/pntap has a reader in program code, where an attribute or a dotted name
@@ -49,10 +51,6 @@ DEFAULTS = {
         "the lehman suite loads Dirichlet zeros; the zeta suites take the default",
     ("cli", "main", "argv"):
         "perfbench and the tests pass argv; the console script reads sys.argv",
-    ("constants", "soz_constants_small", "omega"):
-        "ROADMAP item 5 sets omega from the Dirichlet zeros it builds",
-    ("constants", "ap_constants", "clamp_omega1"):
-        "the small-moduli chain clamps Omega1; ROADMAP item 1 settles the general chain's fold",
     ("constants", "chain", "self_consistent"): "--self-consistent sets it",
     ("constants", "evaluate_bounds", "consts"): "the principal kind needs no constants",
     ("quadrature", "integrate", "tol"):
@@ -73,17 +71,14 @@ DEFAULTS = {
         "twisted_psi_constants_small replaces it; the general record has none",
     ("constants", "TwistedPsiConstants.__init__", "sigma7"):
         "twisted_psi_constants_small replaces it; the general record has none",
-    ("verify", "BoundSample.__init__", "skipped"):
-        "BoundReport.add sets it for a non-positive right-hand side; the other samples take it",
     ("zeros", "ZeroTable.__init__", "label"):
         "the loader passes a Dirichlet table's label; the zeta zero generator has none",
 }
 
 # DEFAULTS entries that no call of program code passes, or that every such
-# call passes, each kept for a named reason
+# call passes, each kept for a named reason; each belongs to a function that
+# perfbench references, so it changes only with the benchmark
 TESTS_ONLY = {
-    ("constants", "soz_constants_small", "omega"):
-        "never passed: ROADMAP item 5 sets omega from the Dirichlet zeros it builds",
     ("quadrature", "integrate", "tol"): "never called: the tests' reference integrator",
     ("quadrature", "integrate", "max_intervals"): "never called: the tests' reference integrator",
     ("zeros", "load_zero_table", "kind"):
@@ -296,6 +291,13 @@ def _defaulted_parameters():
     return out
 
 
+def _called_as(function: str) -> str:
+    """The name a call of function uses: a constructor names the class of
+    an __init__, a method its own name."""
+    parts = function.split(".")
+    return parts[-2] if parts[-1] == "__init__" else parts[-1]
+
+
 def _passes_and_takes():
     """The DEFAULTS entries some call of program code passes, and those
     some such call leaves to their default.
@@ -314,8 +316,7 @@ def _passes_and_takes():
                 calls.append((name, len(node.args), {k.arg for k in node.keywords}))
     passed, taken = set(), set()
     for (module, function, param), (required, position) in _defaulted_parameters().items():
-        parts = function.split(".")
-        name = parts[-2] if parts[-1] == "__init__" else parts[-1]
+        parts, name = function.split("."), _called_as(function)
         for called, n_args, keywords in calls:
             if called == "replace" and parts[-1] == "__init__" and param in keywords:
                 passed.add((module, function, param))
@@ -362,6 +363,17 @@ def test_tests_only_list_holds_only_such_defaults():
     passed, taken = _passes_and_takes()
     assert set(TESTS_ONLY) <= set(DEFAULTS)
     assert sorted(k for k in TESTS_ONLY if k in passed and k in taken) == []
+
+
+def test_tests_only_defaults_belong_to_benchmarked_functions():
+    # a default only tests vary stays only where the benchmark pins its
+    # function: a perfbench file names it, as code or as a trace.LAYERS string
+    refs = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs |= _referenced(tree, _docstrings(tree))
+    unpinned = sorted(k for k in TESTS_ONLY if _called_as(k[1]) not in refs)
+    assert unpinned == [], f"TESTS_ONLY entries no perfbench file references: {unpinned}"
 
 
 def _cached_functions() -> set[tuple[str, str]]:

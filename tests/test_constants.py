@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,11 +49,6 @@ class TestSoz:
             C.soz_constants(9.9)
         with pytest.raises(DomainError):
             C.soz_constants_small(16.0)
-
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
-    def test_omega_must_be_finite_and_positive(self, omega):
-        with pytest.raises(DomainError, match="omega"):
-            C.soz_constants_small(20.0, omega)
 
     def test_f_caps_on_grid(self):
         for lx in np.linspace(10.0, 500.0, 100):
@@ -296,6 +292,24 @@ class TestApConstants:
         assert a3 == pytest.approx((1.0 + tp.Omega2) / math.log(2.0), rel=1e-14)
         assert a4 == pytest.approx(a6 + 1.44270, abs=1e-12)
         assert a2 == pytest.approx(1.0 / (8 * PI) + a4 * a1, rel=1e-14)
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_omega1_clamp_follows_the_record(self, small):
+        # on the rows where Omega1 < 0 (the general rows from log x0 = 150,
+        # where k6 = k2 log 3 < 0, and every small row) only a small-moduli
+        # record folds max(Omega1, 0) = 0 into Omega3
+        rows = [lx for lx in C.REFERENCE_KAPPA if lx >= (C.SMALL_LOG_X0_MIN if small else 150.0)]
+        for lx in rows:
+            _, _, tp, ap = C.chain(lx, small)
+            assert tp.Omega1 < 0.0, lx
+            o1 = 0.0 if small else tp.Omega1 / lx
+            assert ap.Omega3 == tp.Omega0 + o1 + 0.56 * lx / math.exp(0.5 * lx), lx
+
+    def test_small_flag_alone_clamps(self):
+        _, _, tp, ap = C.chain(150.0, False)
+        clamped = C.ap_constants(150.0, replace(tp, small_moduli=True))
+        assert clamped.small_moduli
+        assert clamped.Omega3 == tp.Omega0 + 0.56 * 150.0 / math.exp(75.0) > ap.Omega3
 
     def test_omega5_from_ei(self):
         _, _, _, ap = C.chain(10.0, False)
