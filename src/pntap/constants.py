@@ -19,28 +19,23 @@ search on the closed-form ``k3_value`` (Kolda, Lewis and Torczon,
 Reference-table compatibility
 -----------------------------
 The three definite integrals over [lower, eta] feeding the zero-sum
-constants k1, k2 and their small-moduli versions (``_zero_sum``) are
-evaluated with mpmath's default tanh-sinh quadrature pinned to 15
-significant digits (``_reference_quad``), the one shim in the chain.  On
-the enormous ranges that arise for log x0 >~ 90 that scheme stops
-converging and saturates; the bundled reference tables were produced
-exactly this way, so the scheme is kept bit-for-bit to make table
-reproduction mechanical.  Treat the large-x0 rows as reference values tied
-to this quadrature, not as independently certified bounds.  The
-short-interval integral in k4 takes the closed form
-``weight_quarter_sqrt().logt`` instead.
+constants k1, k2 and their small-moduli versions (``_zero_sum``) have
+exact antiderivatives, ``weight_quarter_sqrt()``'s ``plain``, ``logt``
+and ``over_t``.  The bundled reference tables were made instead with
+mpmath's default tanh-sinh quadrature at 15 significant digits, which
+stops converging and saturates on the enormous ranges of log x0 >~ 90.
+So that the tables reproduce mechanically, ``_GRID_QUAD`` keeps that
+quadrature's bits for the 29 intervals of the default grid
+(``LOG_X0_GRID``) as float literals: the one shim in the chain.  Treat
+its large-x0 rows as reference values tied to that quadrature, not as
+independently certified bounds.  Every row off the grid takes the exact
+integrals, F(eta) - F(lower); nothing is integrated at run time, and the
+program needs no mpmath.  The short-interval integral in k4 takes the
+closed form ``weight_quarter_sqrt().logt`` too.
 
-The default grid (``LOG_X0_GRID``) asks for 29 intervals, whose values
-``_GRID_QUAD`` holds as float literals: the bits the quadrature gives
-them under mpmath 1.3, which the tests derive afresh.  Every other
-interval is integrated live by ``_live_quad``, so the chain imports
-mpmath only for off-grid rows.  The chain asks for the same integrals
-many times (every table section rebuilds it, and the small-moduli chain
-shares its sigma6 anchor across rows), so ``_live_quad`` is memoised per
-interval ``(a, b)`` and ``optimize_kappa`` per ``log_x0``, each keeping
-up to 1024 results within a process.  The 15-digit pin sits inside the
-memoised function, so a cached value is the value a fresh evaluation
-gives, whatever the global mpmath precision.
+``optimize_kappa`` is memoised per ``log_x0``, keeping up to 1024 results
+within a process: every table section rebuilds the chain, so each
+off-grid row asks for its search several times.
 """
 from __future__ import annotations
 
@@ -87,9 +82,8 @@ REFERENCE_KAPPA = {
 # default log-x0 grid of the table commands: the reference rows and log(1.05e7)
 LOG_X0_GRID = tuple(sorted({*REFERENCE_KAPPA, SMALL_LOG_X0_MIN}))
 
-# the quadrature memo holds off-grid intervals only (the default grid's are
-# frozen in _GRID_QUAD); the bound leaves room for many off-grid rows and
-# caps the memory of long-lived callers
+# optimize_kappa's memo runs only off the reference rows; the bound leaves
+# room for many such rows and caps the memory of long-lived callers
 _CACHE_SIZE = 1024
 
 
@@ -102,155 +96,88 @@ def _require_log_x0(log_x0: float) -> None:
         raise DomainError(f"requires log x0 >= 10, got {log_x0}")
 
 
-# (plain, logt, over_t) over [lower, eta] for each interval the default grid
-# asks for: lower = 5/7 on every row of LOG_X0_GRID and lower = 200 from
-# log(1.05e7) up, with eta = splitting_height(log x0) bit for bit (where exp
-# rounds eta otherwise, the key misses and the interval is integrated live).
-# The values are _live_quad's bits under mpmath 1.3; from log x0 = 150 on
-# both lowers give the same saturated values.
+# (plain, logt, over_t) over [lower, splitting_height(log x0)] for each
+# interval the default grid asks for, keyed by (lower, log x0): lower = 5/7
+# on every row of LOG_X0_GRID and lower = 200 from log(1.05e7) up.  The
+# values are the bits of float(mp.quad(f, [lower, eta])) under mpmath 1.3
+# at 15 digits, which the tests derive afresh; from log x0 = 150 on both
+# lowers give the same saturated values.
 _GRID_QUAD = {
-    (0.7142857142857143, 14.84131591025766):  # log x0 = 10
+    (5 / 7, 10.0):
         (2.9295155027551676, -1.8230028743941986, 1.2379664015982987),
-    (0.7142857142857143, 200.43256235358803):  # log x0 = log(1.05e7)
+    (5 / 7, SMALL_LOG_X0_MIN):
         (5.53229636544778, 3.8020170747573645, 1.3003439280599245),
-    (0.7142857142857143, 1101.323289740336):  # log x0 = 20
+    (5 / 7, 20.0):
         (7.236084744857668, 11.153005359592754, 1.3044251336006538),
-    (0.7142857142857143, 108967.24574907035):  # log x0 = 30
+    (5 / 7, 30.0):
         (11.830619585225921, 45.44504265675257, 1.3053239550950844),
-    (0.7142857142857143, 12129129.885244757):  # log x0 = 40
+    (5 / 7, 40.0):
         (16.542937512767917, 102.54459724966298, 1.3053330497172106),
-    (0.7142857142857143, 1440097986.7477176):  # log x0 = 50
+    (5 / 7, 50.0):
         (21.319793961339503, 183.09038246392473, 1.305333131309078),
-    (0.7142857142857143, 178107909692.07437):  # log x0 = 60
+    (5 / 7, 60.0):
         (26.137472390420818, 287.436186739175, 1.3053331122218312),
-    (0.7142857142857143, 22657335033049.01):  # log x0 = 70
+    (5 / 7, 70.0):
         (30.983319915706364, 415.80614591758837, 1.305330599643057),
-    (0.7142857142857143, 2942315835462750.0):  # log x0 = 80
+    (5 / 7, 80.0):
         (35.84955505918307, 568.3551733512995, 1.3050037917298367),
-    (0.7142857142857143, 3.8815856730538995e+17):  # log x0 = 90
+    (5 / 7, 90.0):
         (40.70134431702083, 745.260563332835, 1.2631692034522826),
-    (0.7142857142857143, 5.184705528587072e+19):  # log x0 = 100
+    (5 / 7, 100.0):
         (43.91363818177519, 948.5527077198924, 0.22445402883132712),
-    (0.7142857142857143, 2.488827997866001e+30):  # log x0 = 150
+    (5 / 7, 150.0):
         (44.090638590445444, 2032.8701669885252, 5.543330984458113e-12),
-    (0.7142857142857143, 1.3440585709080679e+41):  # log x0 = 200
+    (5 / 7, 200.0):
         (44.090529805128874, 3122.446646702183, 2.787475676247103e-23),
-    (0.7142857142857143, 7.74230416814289e+51):  # log x0 = 250
+    (5 / 7, 250.0):
         (44.090667134886104, 4214.881561221076, 4.839005315197249e-34),
-    (0.7142857142857143, 7.492909229005347e+105):  # log x0 = 500
+    (5 / 7, 500.0):
         (44.09056749811047, 9695.633964939769, 5.0001151430041424e-88),
-    (200.0, 200.43256235358803):  # log x0 = log(1.05e7)
+    (200.0, SMALL_LOG_X0_MIN):
         (0.002160469520583777, 0.00747850961780677, 1.0790686894205256e-05),
-    (200.0, 1101.323289740336):  # log x0 = 20
+    (200.0, 20.0):
         (1.705948848930471, 7.3584667944531965, 0.004091996227623692),
-    (200.0, 108967.24574907035):  # log x0 = 30
+    (200.0, 30.0):
         (6.3004836892987335, 41.65050409161299, 0.004990817722066292),
-    (200.0, 12129129.885244757):  # log x0 = 40
+    (200.0, 40.0):
         (11.012801616841683, 98.75005868452129, 0.004999912345536389),
-    (200.0, 1440097986.7477176):  # log x0 = 50
+    (200.0, 50.0):
         (15.789658065526977, 179.295843898533, 0.004999994097281613),
-    (200.0, 178107909692.07437):  # log x0 = 60
+    (200.0, 60.0):
         (20.60733650867146, 283.64164814285687, 0.004999994785756409),
-    (200.0, 22657335033049.01):  # log x0 = 70
+    (200.0, 70.0):
         (25.453185821011193, 412.01160339162493, 0.004999994752161787),
-    (200.0, 2942315835462750.0):  # log x0 = 80
+    (200.0, 80.0):
         (30.319653410935405, 564.5601197102615, 0.004999989665164298),
-    (200.0, 3.8815856730538995e+17):  # log x0 = 90
+    (200.0, 90.0):
         (35.20173619026974, 741.3994358112169, 0.004999318778999792),
-    (200.0, 5.184705528587072e+19):  # log x0 = 100
+    (200.0, 100.0):
         (40.078597742274304, 942.5545946434349, 0.004911199883933225),
-    (200.0, 2.488827997866001e+30):  # log x0 = 150
+    (200.0, 150.0):
         (44.090638590445444, 2032.8701669885252, 5.543330984458113e-12),
-    (200.0, 1.3440585709080679e+41):  # log x0 = 200
+    (200.0, 200.0):
         (44.090529805128874, 3122.446646702183, 2.787475676247103e-23),
-    (200.0, 7.74230416814289e+51):  # log x0 = 250
+    (200.0, 250.0):
         (44.090667134886104, 4214.881561221076, 4.839005315197249e-34),
-    (200.0, 7.492909229005347e+105):  # log x0 = 500
+    (200.0, 500.0):
         (44.09056749811047, 9695.633964939769, 5.0001151430041424e-88),
 }
 
 
-def _reference_quad(a: float, b: float) -> tuple[float, float, float]:
-    """Tanh-sinh quadrature at 15 digits; the table-compatibility scheme.
+def _reference_quad(lower: float, log_x0: float) -> tuple[float, float, float]:
+    """The zero-sum integrals over [lower, eta], eta = splitting_height(log x0).
 
-    Returns the integrals over [a, b] (0 < a < b) of the three integrands
-    of the zero-sum chain, with w(t) = (1/4+t^2)^(-1/2):
-    (plain, logt, over_t) = (w(t), log(t/2pi) w(t), w(t)/t).  The default
-    grid's intervals come from ``_GRID_QUAD``, keyed by the exact floats
-    ``_zero_sum`` passes, so a platform whose exp rounds eta differently
-    misses the table and integrates live; every other interval is
-    integrated by ``_live_quad``.
+    Returns the integrals of the three integrands of the zero-sum chain,
+    with w(t) = (1/4+t^2)^(-1/2): (plain, logt, over_t) = (w(t),
+    log(t/2pi) w(t), w(t)/t).  The default grid's rows read ``_GRID_QUAD``,
+    keyed by log x0 so that the lookup does not depend on how exp rounds
+    eta; every other row takes the exact antiderivatives.
     """
-    frozen = _GRID_QUAD.get((a, b))
-    return frozen if frozen is not None else _live_quad(a, b)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _live_quad(a: float, b: float) -> tuple[float, float, float]:
-    """``_reference_quad``'s integrals over [a, b], by replaying mp.quad.
-
-    Each value is bit for bit ``float(mp.quad(f, [a, b]))`` under
-    ``mp.workdps(15)``, by the same steps (Borwein, Bailey and Girgensohn,
-    *Experimentation in Mathematics*, 2003, pp. 312-313):
-
-    * the standard nodes of each degree come from mpmath's node cache, and
-      are moved to [a, b] as D + C x with weight C w, at 20 guard bits;
-    * degrees run from 1 to guess_degree(53) = 6, each level summed as
-      ``TanhSinh.sum_next`` does (previous/(2h) plus an exact dot product);
-    * each integrand stops on its own ``estimate_error`` <= eps/8.
-
-    The integrands are evaluated with the libmp operations mp.quad's
-    lambdas call, at the same precision, sharing sqrt(1/4 + t^2).  Unlike
-    mp.quad, the pass leaves mpmath's per-interval node caches alone.
-    Memoised per (a, b); the precision pin makes the key determine the value.
-    """
-    import mpmath as mp
-    from mpmath import libmp
-
-    ctx = mp.mp
-    rule = ctx._tanh_sinh  # the rule mp.quad uses
-    rnd = libmp.round_nearest
-    add, mul, div, shift = libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div, libmp.mpf_shift
-    with mp.workdps(15):
-        prec = ctx.prec
-        eps = ctx.eps / 8
-    wp = prec + 20
-    one = libmp.fone
-    quarter = shift(one, -2)
-    two_pi = shift(libmp.mpf_pi(wp, rnd), 1)
-    fa, fb = libmp.from_float(a), libmp.from_float(b)
-    C = shift(libmp.mpf_sub(fb, fa, wp, rnd), -1)
-    D = shift(add(fb, fa, wp, rnd), -1)
-    integrands = (
-        lambda t, s: div(one, s, wp, rnd),
-        lambda t, s: div(libmp.mpf_log(div(t, two_pi, wp, rnd), wp, rnd), s, wp, rnd),
-        lambda t, s: div(one, mul(t, s, wp, rnd), wp, rnd),
-    )
-    results = ([], [], [])
-    live = [0, 1, 2]
-    with mp.workprec(wp):
-        for degree in range(1, rule.guess_degree(prec) + 1):
-            nodes = rule.standard_cache.get((degree, prec))
-            if nodes is None:
-                nodes = rule.standard_cache[degree, prec] = rule.calc_nodes(degree, prec)
-            terms = ([], [], [])
-            for x, w in nodes:
-                t = add(D, mul(C, x._mpf_, wp, rnd), wp, rnd)
-                wt = mul(C, w._mpf_, wp, rnd)
-                s = libmp.mpf_sqrt(add(quarter, mul(t, t, wp, rnd), wp, rnd), wp, rnd)
-                for k in live:
-                    terms[k].append(mul(wt, integrands[k](t, s)))
-            for k in tuple(live):
-                levels = results[k]
-                S = shift(levels[-1], degree - 1) if levels else libmp.fzero
-                S = add(S, libmp.mpf_sum(terms[k], wp, rnd), wp, rnd)
-                levels.append(shift(S, -degree))
-                if degree > 1 and rule.estimate_error(
-                        [ctx.make_mpf(v) for v in levels], prec, eps) <= eps:
-                    live.remove(k)
-            if not live:
-                break
-    return tuple(libmp.to_float(libmp.mpf_pos(levels[-1], prec, rnd)) for levels in results)
+    frozen = _GRID_QUAD.get((lower, log_x0))
+    if frozen is not None:
+        return frozen
+    eta, w = splitting_height(log_x0), weight_quarter_sqrt()
+    return tuple(F(eta) - F(lower) for F in (w.plain, w.logt, w.over_t))
 
 
 def splitting_height(log_x0: float) -> float:
@@ -307,7 +234,7 @@ def _zero_sum(log_x0: float, lower: float, log_term: float,
     eta = splitting_height(log_x0)
     sx = math.exp(0.5 * log_x0)
     w0 = 1.0 / math.sqrt(0.25 + lower * lower)
-    plain, logt, over_t = _reference_quad(lower, eta)
+    plain, logt, over_t = _reference_quad(lower, log_x0)
     nu1 = 0.494 * w0 + plain / PI
     nu2 = logt / PI + 2.0 * (0.247 * log_term + 6.894) * w0 + 0.247 * over_t
     nu3 = 0.494 / eta - math.log(eta) / PI

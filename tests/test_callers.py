@@ -23,7 +23,8 @@ Every @dataclass field and every method or property of a class of
 src/pntap has a reader in program code, where an attribute or a dotted name
 string names it; the class's own __post_init__ does not count.  A field that
 only tests read is named in FIELDS_TESTS_ONLY with its reason.  Every cache
-of src/pntap is named in CACHES with program traffic that hits it.
+of src/pntap is named in CACHES with program traffic that hits it.  No
+module of src/pntap imports mpmath.
 """
 import ast
 import importlib
@@ -116,8 +117,8 @@ FIELDS_TESTS_ONLY = {
 
 
 def _off_grid_constants():
-    # each off-grid row's chain asks again for the kappa and the zero-sum
-    # integrals that its first link computed
+    # each off-grid row's chain asks again for the kappa that its first
+    # link computed
     cli.main(["constants", "--which", "all", "--small", "--self-consistent",
               "--log-x0", "18.3", "--log-x0", "37.5"])
 
@@ -130,7 +131,6 @@ def _twisted_characters():
 # every lru_cache or cache function of src/pntap as (module, function), with
 # the program traffic that hits it
 CACHES = {
-    ("constants", "_live_quad"): _off_grid_constants,
     ("constants", "optimize_kappa"): _off_grid_constants,
     ("arith", "_last_masses"): _twisted_characters,
 }
@@ -415,3 +415,20 @@ def test_every_cache_serves_its_traffic(capsys):
         if cached.cache_info().hits < 1:
             missed.append((module, name, traffic.__name__))
     assert missed == [], f"caches their traffic never hits: {missed}"
+
+
+def test_program_imports_no_mpmath():
+    # the tests, perfbench/checks.py and scripts/generate_zeta_zeros.py use
+    # mpmath; the program does not
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "mpmath"]
+    assert found == [], f"mpmath imported at {found}"

@@ -436,9 +436,9 @@ class TestLogX0Domain:
         assert si.k3 > 0
 
 
-def record_quad_keys(monkeypatch, *argvs, rows=()):
-    """The (a, b) keys _reference_quad is asked for by `constants --which all`
-    with each argv, then by soz_constants_small at each row."""
+def record_quad_keys(monkeypatch, *argvs):
+    """The (lower, log x0) keys _reference_quad is asked for by
+    `constants --which all` with each argv."""
     cached = C._reference_quad
     keys = []
 
@@ -449,8 +449,6 @@ def record_quad_keys(monkeypatch, *argvs, rows=()):
     monkeypatch.setattr(C, "_reference_quad", recording)
     for argv in argvs:
         assert cli.main(["constants", "--which", "all", *argv]) == 0
-    for lx in rows:
-        C.soz_constants_small(lx)
     monkeypatch.setattr(C, "_reference_quad", cached)
     return keys
 
@@ -464,123 +462,83 @@ QUAD_INTEGRANDS = (
 )
 
 
-def quad_oracle(a, b):
-    """(plain, logt, over_t) over [a, b], one mp.quad call each, at 15 digits."""
+def quad_oracle(lower, log_x0):
+    """(plain, logt, over_t) over [lower, eta], one mp.quad call each, at 15 digits."""
     with mp.workdps(15):
-        return tuple(float(mp.quad(f, [a, b])) for f in QUAD_INTEGRANDS)
+        return tuple(float(mp.quad(f, [lower, C.splitting_height(log_x0)]))
+                     for f in QUAD_INTEGRANDS)
 
 
 class TestReferenceQuad:
-    """One pass per interval gives the bits of three mp.quad calls."""
+    """The default grid reads mp.quad's bits; every other row the exact integrals."""
 
     OFF_GRID = (18.3, 37.5, 85.0, 120.0, 300.0, C.LOG_X0_MAX)
 
-    def test_same_bits_as_mp_quad(self, monkeypatch, capsys):
-        # the default grid's keys read _GRID_QUAD, the off-grid rows _live_quad
-        C._live_quad.cache_clear()
-        keys = set(record_quad_keys(monkeypatch, [], ["--small"], ["--small", "--self-consistent"],
-                                    rows=self.OFF_GRID))
-        capsys.readouterr()
-        assert {a for a, _ in keys} == {5.0 / 7.0, 200.0}
-        for key in sorted(keys):
-            got = C._reference_quad(*key)
-            assert [v.hex() for v in got] == [v.hex() for v in quad_oracle(*key)], key
+    def test_same_bits_as_mp_quad(self):
+        for key, frozen in C._GRID_QUAD.items():
+            assert [v.hex() for v in frozen] == [v.hex() for v in quad_oracle(*key)], key
 
     def test_frozen_table_holds_the_default_grid(self, monkeypatch, capsys):
         asked = set(record_quad_keys(monkeypatch, [], ["--small"], ["--small", "--self-consistent"]))
         capsys.readouterr()
-        grid = {(5.0 / 7.0, C.splitting_height(lx)) for lx in C.LOG_X0_GRID} \
-            | {(200.0, C.splitting_height(lx)) for lx in C.LOG_X0_GRID if lx >= C.SMALL_LOG_X0_MIN}
+        grid = {(5.0 / 7.0, lx) for lx in C.LOG_X0_GRID} \
+            | {(200.0, lx) for lx in C.LOG_X0_GRID if lx >= C.SMALL_LOG_X0_MIN}
         assert asked == grid
         missing = sorted(grid - set(C._GRID_QUAD))
         assert not missing, "_GRID_QUAD lacks\n" + "\n".join(
-            f"    ({a!r}, {b!r}):\n        {C._live_quad(a, b)!r}," for a, b in missing)
+            f"    ({lower!r}, {lx!r}):\n        {quad_oracle(lower, lx)!r}," for lower, lx in missing)
         assert len(C._GRID_QUAD) == len(grid) == 29, sorted(set(C._GRID_QUAD) - grid)
 
-    def test_frozen_table_is_the_live_replay(self):
-        for key, frozen in C._GRID_QUAD.items():
-            live = C._live_quad.__wrapped__(*key)
-            assert [v.hex() for v in frozen] == [v.hex() for v in live], key
+    def test_closed_forms_match_mp_quad(self, monkeypatch):
+        # mp.quad at 30 digits, summed over log-spaced pieces (ratio <= 1000)
+        # that every row shares; the worst relative error seen is 2.5e-13, on
+        # the short interval [200, 200.43] of row log(1.05e7), and below
+        # 5e-14 elsewhere
+        monkeypatch.setattr(C, "_GRID_QUAD", {})
+        rows = sorted({*C.LOG_X0_GRID, *self.OFF_GRID})
+        assert rows[0] == 10.0 and {120.0, 500.0, C.LOG_X0_MAX} <= set(rows)
+        with mp.workdps(30):
+            for lower in (5.0 / 7.0, 200.0):
+                lxs = [lx for lx in rows if lower < 1.0 or lx >= C.SMALL_LOG_X0_MIN]
+                etas = [C.splitting_height(lx) for lx in lxs]
+                pieces = int(math.log(etas[-1] / lower) / math.log(1000.0)) + 2
+                ends = sorted({*np.geomspace(lower, etas[-1], pieces).tolist(), *etas})
+                total, upto = [mp.mpf(0)] * 3, {}
+                for a, b in zip(ends, ends[1:]):
+                    total = [s + mp.quad(f, [a, b]) for s, f in zip(total, QUAD_INTEGRANDS)]
+                    upto[b] = total
+                for lx, eta in zip(lxs, etas):
+                    got = C._reference_quad(lower, lx)
+                    for g, want in zip(got, upto[eta]):
+                        assert abs(g - want) <= 1e-12 * abs(want), (lower, lx)
 
     def test_default_grid_imports_no_mpmath(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         argvs = [["constants", "--which", "all"], ["constants", "--which", "all", "--small"],
                  ["constants", "--which", "all", "--small", "--self-consistent"],
                  ["bound", "--kind", "psi_ap", "--x", "1e12", "--q", "3"]]
-        code = ("import sys; from pntap import cli; "
-                f"codes = [cli.main(argv) for argv in {argvs!r}]; "
-                "print(codes, 'mpmath' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+        assert run_fresh(argvs) == "[0, 0, 0, 0] False"
 
-    def test_mpmath_node_caches_do_not_grow(self, capsys):
-        # mp.quad keeps the moved nodes of every interval it sees twice
-        rule = mp.mp._tanh_sinh
-        before = len(rule.transformed_cache), len(rule.interval_count)
-        C._live_quad.cache_clear()
-        assert cli.main(["constants", "--which", "all", "--small",
-                         "--log-x0", "18.3", "--log-x0", "37.5"]) == 0
-        capsys.readouterr()
-        for lx in np.linspace(20.3, 700.3, 50):
-            C.soz_constants_small(float(lx))
-        assert (len(rule.transformed_cache), len(rule.interval_count)) == before
+    def test_off_grid_rows_import_no_mpmath(self):
+        argvs = [["constants", "--which", "all", "--log-x0", "18.3", "--log-x0", "120"],
+                 ["bound", "--kind", "psi_ap", "--x", "1e60", "--q", "3", "--log-x0", "120"]]
+        assert run_fresh(argvs, "pntap.soz_constants(20.5)") == "[0, 0] False"
 
-    def test_mpmath_loads_on_first_quadrature(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import sys, pntap; "
-                "pntap.ap_counts(1e5, 7, 3); "
-                "print('mpmath' in sys.modules); "
-                "pntap.soz_constants(20.5); "
-                "print('mpmath' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+
+def run_fresh(argvs, then="pass"):
+    """cli.main on each argv in a fresh process, then the expression then:
+    the exit codes and whether mpmath was imported, as printed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, pntap; from pntap import cli; "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; {then}; "
+            "print(codes, 'mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 class TestCaches:
-    """The memoised leaves return exactly what a fresh evaluation returns."""
-
-    def test_cached_quadrature_is_bit_identical(self, monkeypatch, capsys):
-        C._live_quad.cache_clear()
-        off_grid = ["--log-x0", "18.3", "--log-x0", "37.5"]
-        keys = set(record_quad_keys(monkeypatch, off_grid, ["--small", "--self-consistent",
-                                                            *off_grid]))
-        capsys.readouterr()
-        assert {a for a, _ in keys} == {5.0 / 7.0, 200.0}
-        for key in sorted(keys):
-            cached = [v.hex() for v in C._reference_quad(*key)]
-            assert cached == [v.hex() for v in C._live_quad.__wrapped__(*key)], key
-
-    def test_cached_value_ignores_global_precision(self):
-        keys = [(5.0 / 7.0, C.splitting_height(80.5)),
-                (200.0, C.splitting_height(40.5)),
-                (5.0 / 7.0, C.splitting_height(500.5))]
-        prec = mp.mp.prec
-        C._live_quad.cache_clear()
-        default = [C._reference_quad(*key) for key in keys]
-        assert mp.mp.prec == prec
-        C._live_quad.cache_clear()
-        with mp.workdps(30):
-            assert mp.mp.dps == 30
-            at_30 = [C._reference_quad(*key) for key in keys]
-            assert mp.mp.dps == 30
-        assert mp.mp.prec == prec
-        assert [[v.hex() for v in vs] for vs in at_30] == [[v.hex() for v in vs] for vs in default]
-
-    def test_one_miss_per_distinct_key(self, monkeypatch, capsys):
-        # --self-consistent: no sigma6 anchor from the grid's frozen row 500
-        C._live_quad.cache_clear()
-        keys = record_quad_keys(monkeypatch, ["--small", "--self-consistent",
-                                              "--log-x0", "18.3", "--log-x0", "37.5"])
-        capsys.readouterr()
-        info = C._live_quad.cache_info()
-        assert info.misses == len(set(keys))
-        assert info.hits == len(keys) - len(set(keys)) > 0
+    """optimize_kappa searches once per row and returns what a fresh search returns."""
 
     def test_kappa_search_runs_once_per_row(self, monkeypatch, capsys):
         k3_value = C.k3_value

@@ -23,7 +23,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 _OFF_GRID = ["--log-x0", "18.3", "--log-x0", "37.5", "--log-x0", "120"]
 _BOUND_POINTS = [["--x", "1e30", "--q", "7"],
                  ["--x", "1e30", "--q", "7", "--log-x0", "20"],
-                 ["--x", "1e60", "--q", "7", "--log-x0", "150"]]
+                 ["--x", "1e60", "--q", "7", "--log-x0", "150"],
+                 ["--x", "1e70", "--q", "7", "--log-x0", "150"],
+                 ["--x", "1e60", "--q", "7", "--log-x0", "120"]]
 
 CALLS = [
     ["constants", "--which", "all", "--format", "csv", *chain, *grid]
