@@ -82,10 +82,6 @@ REFERENCE_KAPPA = {
 # default log-x0 grid of the table commands: the reference rows and log(1.05e7)
 LOG_X0_GRID = tuple(sorted({*REFERENCE_KAPPA, SMALL_LOG_X0_MIN}))
 
-# optimize_kappa's memo runs only off the reference rows; the bound leaves
-# room for many such rows and caps the memory of long-lived callers
-_CACHE_SIZE = 1024
-
 
 def _require_log_x0(log_x0: float) -> None:
     """DomainError unless 10 <= log x0 <= LOG_X0_MAX (so not NaN or inf)."""
@@ -171,7 +167,11 @@ def _reference_quad(lower: float, log_x0: float) -> tuple[float, float, float]:
     with w(t) = (1/4+t^2)^(-1/2): (plain, logt, over_t) = (w(t),
     log(t/2pi) w(t), w(t)/t).  The default grid's rows read ``_GRID_QUAD``,
     keyed by log x0 so that the lookup does not depend on how exp rounds
-    eta; every other row takes the exact antiderivatives.
+    eta; every other row takes the exact antiderivatives.  The frozen rows
+    from log x0 = 90 up hold saturated tanh-sinh values, smaller than the
+    exact integrals, so such a grid row prints smaller constants than an
+    off-grid neighbour (row 150 against row 150.01, say) until the claim
+    path moves grid rows to the closed forms too.
     """
     frozen = _GRID_QUAD.get((lower, log_x0))
     if frozen is not None:
@@ -434,7 +434,9 @@ class KappaSearch:
 _COMPASS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# the memo runs only off the reference rows; the bound leaves room for many
+# such rows and caps the memory of long-lived callers
+@lru_cache(maxsize=1024)
 def optimize_kappa(log_x0: float) -> KappaSearch:
     """Minimize k3 over the tuning parameters, deterministically.
 

@@ -13,22 +13,20 @@ zeta:      plain text, one decimal ordinate per line, ascending; blank
 dirichlet: CSV with header ``q,index,gamma``; gamma > 0 ascending within
            each (q, index) group.
 
-A zeta file is read by numpy's C tokenizer as one column (once more
-without its comment lines when the first parse meets one), and the rules
-are checked on the array: each ordinate a finite positive real, strictly
-ascending.  A zeta file that the tokenizer refuses (a # after a number, say)
-or that breaks a rule, and every dirichlet file, is read line by line, and
-the first bad line raises, naming its 1-based file line.  The line reader
-also takes what the format allows and the tokenizer does not: in a CSV,
-whitespace-only lines, quoted fields and digit separators.  A label then
-picks its group or fails; without one, the file's only group is used.
+A zeta file is read with one numpy parse: numpy's C tokenizer reads the
+whole file as one column, and the rules are checked on the array: each
+ordinate a finite positive real, strictly ascending.  A zeta file that the
+tokenizer refuses or that breaks a rule, and every dirichlet file, is read
+line by line, and the first bad line raises, naming its 1-based file line.
+The line reader also takes what the format allows and the tokenizer does
+not: comment lines in a zeta file and, in a CSV, whitespace-only lines,
+quoted fields and digit separators.  A label then picks its group or
+fails; without one, the file's only group is used.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -116,27 +114,18 @@ def load_zero_table(
 
 
 _HEADER = ["q", "index", "gamma"]
-# a zeta comment line: its first non-blank character is #
-_COMMENT = re.compile(r"\s*#")
 
 
 def _parse_whole(path) -> Optional[dict[None, np.ndarray]]:
     """{None: ordinates} of a zeta file from one numpy parse ({} when it
     holds none); None when the tokenizer refuses a line or an ordinate
-    breaks a rule, so that the line reader names the line.  A file the
-    tokenizer refuses is parsed once more without its comment lines, so a
-    header costs one more pass rather than the line reader.
-    """
+    breaks a rule, so that the line reader names the line."""
     with open(path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             rows = np.loadtxt(fh, comments=None, ndmin=2)
         except ValueError:
-            fh.seek(0)
-            try:
-                rows = np.loadtxt(itertools.filterfalse(_COMMENT.match, fh), comments=None, ndmin=2)
-            except ValueError:
-                return None
+            return None
     if rows.shape[1] != 1:  # two or more numbers on a line
         return None
     gamma = rows[:, 0]  # 0 < gamma < inf also rejects nan

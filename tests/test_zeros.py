@@ -455,22 +455,6 @@ class TestLoaderOracle:
         groups = zeros_module._parse_whole(write(tmp_path, "14.5\n\n21.0\n"))
         assert list(groups) == [None] and groups[None].tolist() == [14.5, 21.0]
 
-    def test_comment_lines_keep_the_numpy_parse(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "# header\n14.5\n  # interior, 1.5\n\n21.0\n#\n")
-        want = zeros_module._parse_lines(path, "zeta")
-
-        def refuse(*args):
-            raise AssertionError("line reader called")
-
-        monkeypatch.setattr(zeros_module, "_parse_lines", refuse)
-        table = load_zero_table(path)
-        assert table.ordinates.tolist() == want[None] == [14.5, 21.0]
-
-    def test_comment_after_a_number_is_refused(self, tmp_path):
-        with pytest.raises(ParseError, match=r"line 3\b") as info:
-            load_zero_table(write(tmp_path, "# header\n14.1347\n21.022 # x\n"))
-        assert info.value.line_number == 3
-
     def test_peak_memory_on_bundled_table(self):
         # the per-line reader peaked near 491 KB; a whole-file list of line
         # strings would hold about 3.5 MB
